@@ -105,6 +105,11 @@ std::vector<Scenario> fast_matrix() {
            2, 15),
       cell("asyncn_n8", ProtocolKind::asyncn, Synchrony::asynchronous, 8, 4,
            1, 16),
+      // The smallest swarm whose slice association and granular radii go
+      // through PointGrid (n >= 64), so the per-push gate covers both
+      // sides of that switch.
+      cell("sliced_n64", ProtocolKind::sliced, Synchrony::synchronous, 64, 2,
+           1, 17),
   };
 }
 
@@ -112,8 +117,6 @@ std::vector<Scenario> full_matrix() {
   using core::ProtocolKind;
   using core::Synchrony;
   std::vector<Scenario> m = fast_matrix();
-  m.push_back(cell("sliced_n64", ProtocolKind::sliced,
-                   Synchrony::synchronous, 64, 2, 1, 17));
   m.push_back(cell("asyncn_n16", ProtocolKind::asyncn,
                    Synchrony::asynchronous, 16, 2, 1, 18));
   // The post-epoch-ring large cell: one 2-byte message across a

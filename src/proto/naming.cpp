@@ -51,7 +51,12 @@ geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
   assert(points.size() >= 2);
   // Memoized: every robot's labeling pass asks for the SEC of the same t0
   // configuration; the cache turns n^2 Welzl runs per swarm into one.
-  const geom::Circle sec = geom::cached_sec(points);
+  return horizon_direction(points, self, geom::cached_sec(points));
+}
+
+geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
+                             std::size_t self, const geom::Circle& sec) {
+  assert(points.size() >= 2);
   const geom::Vec2 off = points[self] - sec.center;
   // Scale-aware degeneracy threshold: "at the center" relative to the SEC
   // radius, so the rule is unit-independent.
@@ -94,10 +99,15 @@ geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
 RelativeNaming relative_naming(std::span<const geom::Vec2> points,
                                std::size_t self) {
   assert(points.size() >= 2);
+  return relative_naming(points, self, geom::cached_sec(points));
+}
+
+RelativeNaming relative_naming(std::span<const geom::Vec2> points,
+                               std::size_t self, const geom::Circle& sec) {
+  assert(points.size() >= 2);
   RelativeNaming naming;
-  const geom::Circle sec = geom::cached_sec(points);
   naming.sec_center = sec.center;
-  naming.reference = horizon_direction(points, self);
+  naming.reference = horizon_direction(points, self, sec);
 
   // Sort key per robot: (clockwise angle of its SEC radius from H_self,
   // distance from O). A robot exactly at O has no radius; it precedes

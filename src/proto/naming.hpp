@@ -23,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "geom/circle.hpp"
 #include "geom/vec.hpp"
 #include "sim/types.hpp"
 
@@ -50,6 +51,13 @@ namespace stig::proto {
 [[nodiscard]] geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
                                            std::size_t self);
 
+/// `horizon_direction` with the caller supplying `sec`, the smallest
+/// enclosing circle of `points` (callers ranking every robot fetch it once
+/// instead of once per robot).
+[[nodiscard]] geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
+                                           std::size_t self,
+                                           const geom::Circle& sec);
+
 /// The Section 3.4 relative naming with respect to robot `self`.
 struct RelativeNaming {
   geom::Vec2 sec_center;          ///< O, center of the SEC of the points.
@@ -63,5 +71,11 @@ struct RelativeNaming {
 /// `points[self]`. Precondition: points pairwise distinct, size >= 2.
 [[nodiscard]] RelativeNaming relative_naming(
     std::span<const geom::Vec2> points, std::size_t self);
+
+/// `relative_naming` with the caller supplying `sec`, the smallest
+/// enclosing circle of `points`.
+[[nodiscard]] RelativeNaming relative_naming(
+    std::span<const geom::Vec2> points, std::size_t self,
+    const geom::Circle& sec);
 
 }  // namespace stig::proto

@@ -20,6 +20,13 @@ constexpr double kCenterFraction = 1e-7;
 /// see geom/point_grid.hpp's exactness contract).
 constexpr std::size_t kAssociateGridThreshold = 64;
 
+/// Association hints are accepted strictly inside this fraction of the
+/// hinted granular's radius. Radii are half the nearest-center distance, so
+/// every other center is at least (2 - kHintFraction) radii away: a point
+/// this deep in granular h is strictly nearest to c_h, and the full
+/// nearest-center query could only have answered h.
+constexpr double kHintFraction = 0.9;
+
 }  // namespace
 
 SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
@@ -50,6 +57,11 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
 
   if (n_ >= kAssociateGridThreshold) {
     center_grid_.build(centers_);
+  }
+  // The t0 snapshot lists robot k in slot k.
+  assoc_prev_.resize(n_);
+  for (std::size_t k = 0; k < n_; ++k) {
+    assoc_prev_[k] = static_cast<std::uint32_t>(k);
   }
 
   granulars_.reserve(n_);
@@ -100,8 +112,11 @@ void SlicedCore::compute_ranks(std::vector<std::uint32_t>& ranks,
       break;
     }
     case NamingMode::relative: {
+      // One SEC lookup per core: every cache lookup hashes and compares all
+      // n centers, so fetching it per robot made this loop O(n^2).
+      const geom::Circle sec = geom::cached_sec(centers_);
       for (std::size_t i = 0; i < n_; ++i) {
-        RelativeNaming rel = relative_naming(centers_, i);
+        RelativeNaming rel = relative_naming(centers_, i, sec);
         append_row(rel.ranks);
         if (references != nullptr) (*references)[i] = rel.reference;
       }
@@ -144,37 +159,66 @@ std::vector<geom::Vec2> SlicedCore::associate(
   return positions;
 }
 
+std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
+  // Large swarms query the t0-center grid (same nearest index as the scan —
+  // lowest index on exact ties); small ones keep the brute scan.
+  if (!center_grid_.empty()) return center_grid_.nearest(p);
+  std::size_t best = 0;
+  double best_d2 = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double d2 = geom::dist2(p, centers_[i]);
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = i;
+    }
+  }
+  return best;
+}
+
 void SlicedCore::associate_into(const sim::Snapshot& snap,
                                 std::vector<geom::Vec2>& out) const {
   assert(snap.robots.size() == n_);
   out.assign(n_, geom::Vec2{});
   std::vector<bool>& filled = assoc_filled_;
   filled.assign(n_, false);
-  for (const sim::ObservedRobot& obs : snap.robots) {
+  // Previous owner of slot k, or n_ (never accepted) past the last slot.
+  const auto prev = [this](std::size_t k) -> std::size_t {
+    return k < n_ ? assoc_prev_[k] : n_;
+  };
+  const auto deep_inside = [&](std::size_t h, const geom::Vec2& p) {
+    if (h >= n_ || filled[h]) return false;
+    const double r = kHintFraction * granulars_[h].radius();
+    return geom::dist2(p, centers_[h]) < r * r;
+  };
+  std::size_t left = n_;  // Previous owner of slot k - 1.
+  for (std::size_t k = 0; k < snap.robots.size(); ++k) {
+    const geom::Vec2& p = snap.robots[k].position;
     // Nearest granular center; robots never leave their granulars, and
     // granular interiors are pairwise disjoint, so this is unambiguous.
-    // Large swarms query the t0-center grid (same nearest index as the
-    // scan — lowest index on exact ties); small ones keep the brute scan.
+    // Most robots sit in the slot they held last activation, or one slot
+    // over when a signalling robot shifted the lexicographic order; a
+    // hint deep inside its granular is exactly the nearest center, so the
+    // query only runs on a miss.
+    const std::size_t here = prev(k);
+    const std::size_t right = prev(k + 1);
     std::size_t best;
-    if (!center_grid_.empty()) {
-      best = center_grid_.nearest(obs.position);
+    if (deep_inside(here, p)) {
+      best = here;
+    } else if (deep_inside(left, p)) {
+      best = left;
+    } else if (deep_inside(right, p)) {
+      best = right;
     } else {
-      best = 0;
-      double best_d2 = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < n_; ++i) {
-        const double d2 = geom::dist2(obs.position, centers_[i]);
-        if (d2 < best_d2) {
-          best_d2 = d2;
-          best = i;
-        }
-      }
+      best = nearest_center(p);
     }
     assert(!filled[best] && "two robots associated to one granular");
-    assert(geom::dist2(obs.position, centers_[best]) <=
+    assert(geom::dist2(p, centers_[best]) <=
                granulars_[best].radius() * granulars_[best].radius() &&
            "observed robot outside every granular");
-    out[best] = obs.position;
+    out[best] = p;
     filled[best] = true;
+    left = here;
+    if (k < n_) assoc_prev_[k] = static_cast<std::uint32_t>(best);
   }
 }
 

@@ -89,7 +89,10 @@ class SlicedCore {
 
   /// Associates the observed configuration to persistent robot indices:
   /// result[i] is the current position of robot i. Every observed point is
-  /// assigned to the granular that contains it.
+  /// assigned to the granular that contains it. Each snapshot slot first
+  /// tries the robot it held at the previous call (then its neighbours'),
+  /// accepted only deep enough inside that granular to be the exact
+  /// nearest center; other points take the full nearest-center query.
   [[nodiscard]] std::vector<geom::Vec2> associate(
       const sim::Snapshot& snap) const;
 
@@ -145,6 +148,9 @@ class SlicedCore {
                      std::vector<std::uint32_t>& inverse,
                      std::vector<geom::Vec2>* references) const;
 
+  /// Index of the t0 center nearest `p` (lowest index on exact ties).
+  [[nodiscard]] std::size_t nearest_center(const geom::Vec2& p) const;
+
   [[nodiscard]] std::size_t row(std::size_t i) const {
     // Shared labelings (by_ids, lexicographic: every robot ranks every
     // robot identically) store ONE row for the whole swarm; only the
@@ -181,6 +187,11 @@ class SlicedCore {
   /// because association is logically const (cores are per-robot and
   /// engines are single-threaded, so no synchronization is needed).
   mutable std::vector<bool> assoc_filled_;
+  /// Association hint: the robot that occupied snapshot slot k at the
+  /// previous `associate_into` (identity after construction — the t0
+  /// snapshot). Sized once here so steady-state association allocates
+  /// nothing; mutable for the same reason as `assoc_filled_`.
+  mutable std::vector<std::uint32_t> assoc_prev_;
 };
 
 }  // namespace stig::proto

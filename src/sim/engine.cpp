@@ -96,6 +96,9 @@ Engine::Engine(std::vector<RobotSpec> specs,
               [this](RobotIndex a, RobotIndex b) {
                 return specs_[a].id.value() < specs_[b].id.value();
               });
+  } else {
+    prev_order_.resize(n);
+    for (std::vector<std::uint32_t>& row : prev_order_) row.reserve(n);
   }
 
   // Paper Section 4.2: every robot knows P(t0) — wake all at t0 once.
@@ -203,7 +206,8 @@ void Engine::build_observation(RobotIndex i,
                                std::span<const geom::Vec2> config,
                                std::span<const geom::Vec2> stale_config,
                                Time t, std::vector<SnapshotEntry>& entries,
-                               Snapshot& out) const {
+                               Snapshot& out,
+                               std::vector<std::uint32_t>* order) const {
   const Frame& f = frames_.at(i);
   const double q = options_.observation_quantum;
   const auto quantize = [q](const geom::Vec2& p) {
@@ -235,11 +239,45 @@ void Engine::build_observation(RobotIndex i,
   if (identified_) {
     for (const RobotIndex j : id_order_) append(j);
   } else {
-    for (std::size_t j = 0; j < config.size(); ++j) append(j);
-    std::sort(entries.begin(), entries.end(),
-              [](const SnapshotEntry& a, const SnapshotEntry& b) {
-                return a.obs.position < b.obs.position;
-              });
+    const auto lex_less = [](const SnapshotEntry& a, const SnapshotEntry& b) {
+      return a.obs.position < b.obs.position;
+    };
+    const std::size_t n = config.size();
+    // Temporal coherence: between two observations of one robot most
+    // robots keep their places, so the previous order is nearly sorted.
+    // Without ties the sorted order is unique, so this equals the cold
+    // build; with ties std::sort's order is unspecified, so rebuild.
+    bool warm = order != nullptr && order->size() == n;
+    if (warm) {
+      for (const std::uint32_t j : *order) append(j);
+      warm = entries.size() == n;
+    }
+    if (warm) {
+      for (std::size_t k = 1; k < n; ++k) {
+        SnapshotEntry e = entries[k];
+        std::size_t m = k;
+        for (; m > 0 && lex_less(e, entries[m - 1]); --m) {
+          entries[m] = entries[m - 1];
+        }
+        entries[m] = e;
+      }
+      for (std::size_t k = 1; k < n && warm; ++k) {
+        warm = lex_less(entries[k - 1], entries[k]);
+      }
+    }
+    if (!warm) {
+      entries.clear();
+      for (std::size_t j = 0; j < n; ++j) append(j);
+      std::sort(entries.begin(), entries.end(), lex_less);
+    }
+    if (order != nullptr) {
+      order->clear();
+      if (entries.size() == n) {
+        for (const SnapshotEntry& e : entries) {
+          order->push_back(static_cast<std::uint32_t>(e.index));
+        }
+      }
+    }
   }
   out.t = t;
   out.self = 0;
@@ -356,7 +394,8 @@ void Engine::step_impl() {
     if (!active[i]) continue;
     {
       obs::prof::Scope s(prof_, ph_observe_);
-      build_observation(i, before, stale, t_, entry_scratch_, snap_scratch_);
+      build_observation(i, before, stale, t_, entry_scratch_, snap_scratch_,
+                        identified_ ? nullptr : &prev_order_[i]);
     }
     geom::Vec2 local_target;
     {

@@ -17,6 +17,7 @@
 // snapshot refactor; see DESIGN.md "Epoch snapshots").
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -254,10 +255,18 @@ class Engine {
   /// scratch instead of allocating per activation. `config` and
   /// `stale_config` are epoch-ring views — the builder reads them in
   /// place and never copies the configuration.
+  ///
+  /// `order` (anonymous systems; null for a cold build) holds the engine
+  /// indices in the order this observer's previous observation listed
+  /// them and is updated to this one's. When it lists every robot, the
+  /// entries are appended in that order and insertion-sorted — linear
+  /// when few robots changed places. A tie between two entries or a
+  /// robot out of sight falls back to the cold build (index order plus
+  /// std::sort), so the snapshot is always exactly the cold one.
   void build_observation(RobotIndex i, std::span<const geom::Vec2> config,
                          std::span<const geom::Vec2> stale_config, Time t,
-                         std::vector<SnapshotEntry>& entries,
-                         Snapshot& out) const;
+                         std::vector<SnapshotEntry>& entries, Snapshot& out,
+                         std::vector<std::uint32_t>* order = nullptr) const;
 
   /// Throws CollisionError for the lexicographically first colliding pair
   /// in `config` (same pair the all-pairs scan reports); grid-accelerated
@@ -279,6 +288,11 @@ class Engine {
   /// once. Ids never change, so appending snapshot entries in this order
   /// yields the id-sorted observation without a per-activation sort.
   std::vector<RobotIndex> id_order_;
+  /// Anonymous systems only: per observer, the engine indices in the order
+  /// of its previous observation (see build_observation). Each row's n
+  /// entries are reserved at construction, so steady state allocates
+  /// nothing; n^2 * 4 bytes in total.
+  std::vector<std::vector<std::uint32_t>> prev_order_;
   /// The epoch ring: slot `e % ring_.size()` holds the configuration of
   /// instant e, for the last `observation_delay + 2` instants — newest
   /// (t_), every delayed-observation epoch down to t_ - delay, and one

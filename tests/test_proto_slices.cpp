@@ -2,6 +2,9 @@
 // tables, association of observed configurations, signal classification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "geom/angle.hpp"
 #include "proto/slices.hpp"
 #include "sim/engine.hpp"
@@ -144,6 +147,66 @@ TEST(SlicedCore, RejectsOffAxisNoise) {
           .normalized();
   const auto fix = core.classify(0, core.center(0) + diag * 1.0);
   EXPECT_FALSE(fix.has_value());
+}
+
+TEST(SlicedCore, HintedAssociationMatchesColdCore) {
+  // One core associates a long run of snapshots, so its per-slot hints
+  // carry over from call to call; every answer must equal a freshly built
+  // core's. Sizes straddle the brute/grid switch at 64. Each robot either
+  // sits at its center, signals (well inside the hint radius) or strays
+  // past 0.9 R (hint rejected, full query taken), and the snapshot slots
+  // arrive sorted, slightly shuffled or fully shuffled.
+  for (const std::size_t n : {8u, 63u, 64u, 200u}) {
+    sim::Rng rng(1000 + n);
+    const auto side = static_cast<std::size_t>(
+        std::ceil(std::sqrt(static_cast<double>(n))));
+    std::vector<Vec2> t0;
+    for (std::size_t i = 0; i < n; ++i) {
+      t0.push_back(Vec2{static_cast<double>(i % side) * 3.0 +
+                            rng.uniform(-0.5, 0.5),
+                        static_cast<double>(i / side) * 3.0 +
+                            rng.uniform(-0.5, 0.5)});
+    }
+    SlicedCore hinted(snapshot_of(t0, 0), NamingMode::lexicographic, 4);
+    for (int call = 0; call < 40; ++call) {
+      std::vector<Vec2> now(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double r = hinted.radius(i);
+        const double u = rng.uniform(0.0, 1.0);
+        const double dist = u < 0.4   ? 0.0
+                            : u < 0.8 ? rng.uniform(0.01, 0.45) * r
+                                      : rng.uniform(0.9, 0.99) * r;
+        const double a = rng.uniform(0.0, geom::kTwoPi);
+        now[i] = t0[i] + Vec2{std::cos(a), std::sin(a)} * dist;
+      }
+      sim::Snapshot snap = snapshot_of(now, 0);
+      std::sort(snap.robots.begin(), snap.robots.end(),
+                [](const auto& a, const auto& b) {
+                  return a.position < b.position;
+                });
+      const int shape = call % 3;
+      if (shape == 1) {
+        for (int s = 0; s < 4; ++s) {
+          const std::size_t k = rng.uniform_int(0, n - 2);
+          std::swap(snap.robots[k], snap.robots[k + 1]);
+        }
+      } else if (shape == 2) {
+        std::shuffle(snap.robots.begin(), snap.robots.end(), rng.engine());
+      }
+      const std::vector<Vec2> got = hinted.associate(snap);
+      const std::vector<Vec2> want =
+          SlicedCore(snapshot_of(t0, 0), NamingMode::lexicographic, 4)
+              .associate(snap);
+      ASSERT_EQ(got.size(), n);
+      ASSERT_EQ(want.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], want[i]) << "n=" << n << " call=" << call
+                                   << " robot=" << i;
+        ASSERT_EQ(got[i], now[i]) << "n=" << n << " call=" << call
+                                  << " robot=" << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "geom/angle.hpp"
 #include "sim/engine.hpp"
 #include "sim/observation.hpp"
+#include "sim/rng.hpp"
 
 namespace stig::sim {
 namespace {
@@ -307,6 +308,106 @@ TEST(Engine, PositionsSpanAliasesCurrentEpoch) {
     EXPECT_EQ(old_cfg[i].y, before[i].y);
   }
   EXPECT_FALSE(e.epoch_live(prev - 1));
+}
+
+TEST(Engine, WarmObservationsMatchFreshEngine) {
+  // The step path rebuilds each observer's anonymous snapshot from its
+  // previous order; every snapshot it hands out must equal the cold build
+  // of a fresh engine teleported into the same configuration. Random
+  // frames, random walks (most robots idle, so orders mostly persist),
+  // sensor quantization (ties between merged robots) and a visibility
+  // radius (entry counts that change between activations).
+  class Wanderer final : public Robot {
+   public:
+    Wanderer(std::uint64_t seed, std::vector<Snapshot>* seen)
+        : rng_(seed), seen_(seen) {}
+    void initialize(const Snapshot&) override {}
+    Vec2 on_activate(const Snapshot& snap) override {
+      (*seen_)[index_] = snap;
+      const Vec2 self = snap.self_robot().position;
+      if (rng_.flip(0.7)) return self;
+      return self + Vec2{rng_.uniform(-0.4, 0.4), rng_.uniform(-0.4, 0.4)};
+    }
+    std::size_t index_ = 0;
+
+   private:
+    Rng rng_;
+    std::vector<Snapshot>* seen_;
+  };
+  struct Case {
+    double quantum;
+    double visibility;
+  };
+  for (const Case c : {Case{0.0, 0.0}, Case{1.0, 0.0}, Case{0.0, 2.5},
+                       Case{1.0, 2.5}}) {
+    const std::size_t n = 24;
+    Rng rng(77);
+    std::vector<RobotSpec> specs;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Unit spacing against a unit quantum: neighbours often snap to one
+      // grid point, so observations hold ties.
+      RobotSpec s;
+      s.position = Vec2{static_cast<double>(i % 6) + rng.uniform(0, 0.5),
+                        static_cast<double>(i / 6) + rng.uniform(0, 0.5)};
+      s.frame_rotation = rng.uniform(0.0, geom::kTwoPi);
+      s.frame_unit = rng.uniform(0.5, 2.0);
+      s.frame_mirrored = rng.flip(0.5);
+      specs.push_back(s);
+    }
+    EngineOptions opt;
+    opt.observation_quantum = c.quantum;
+    opt.visibility_radius = c.visibility;
+    std::vector<Snapshot> seen(n);
+    std::vector<std::unique_ptr<Robot>> programs;
+    for (std::size_t i = 0; i < n; ++i) {
+      auto w = std::make_unique<Wanderer>(100 + i, &seen);
+      w->index_ = i;
+      programs.push_back(std::move(w));
+    }
+    Engine e(specs, std::move(programs),
+             std::make_unique<BernoulliScheduler>(0.5, 5), opt);
+    std::size_t ties = 0;
+    std::size_t partial = 0;
+    for (Time t = 0; t < 150; ++t) {
+      for (Snapshot& s : seen) s.robots.clear();
+      const std::vector<Vec2> config(e.positions().begin(),
+                                     e.positions().end());
+      e.step();
+      std::vector<std::unique_ptr<Robot>> sitters;
+      for (std::size_t i = 0; i < n; ++i) {
+        sitters.push_back(std::make_unique<Sitter>());
+      }
+      EngineOptions cold_opt = opt;
+      cold_opt.check_collisions = false;
+      Engine cold(specs, std::move(sitters),
+                  std::make_unique<SynchronousScheduler>(), cold_opt);
+      for (std::size_t i = 0; i < n; ++i) cold.teleport(i, config[i]);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (seen[i].robots.empty()) continue;  // Not active this instant.
+        const Snapshot want = cold.make_snapshot(i);
+        ASSERT_EQ(seen[i].self, want.self) << "t=" << t << " robot " << i;
+        ASSERT_EQ(seen[i].robots.size(), want.robots.size())
+            << "t=" << t << " robot " << i;
+        for (std::size_t k = 0; k < want.robots.size(); ++k) {
+          ASSERT_EQ(seen[i].robots[k].position, want.robots[k].position)
+              << "q=" << c.quantum << " vis=" << c.visibility << " t=" << t
+              << " robot " << i << " slot " << k;
+          if (k > 0 && want.robots[k].position ==
+                           want.robots[k - 1].position) {
+            ++ties;
+          }
+        }
+        if (want.robots.size() < n) ++partial;
+      }
+    }
+    // The fallbacks under test were actually reached.
+    if (c.quantum > 0.0) {
+      EXPECT_GT(ties, 0u);
+    }
+    if (c.visibility > 0.0) {
+      EXPECT_GT(partial, 0u);
+    }
+  }
 }
 
 TEST(ChangeTracker, CountsDistinctObservations) {
