@@ -122,8 +122,10 @@ std::vector<Scenario> full_matrix() {
   // The post-epoch-ring large cell: one 2-byte message across a
   // 1024-robot sliced swarm. Exists to pin the hot-path allocation
   // profile at a size where the old per-robot configuration copies and
-  // all-pairs scans dominated; nightly-only because construction alone
-  // holds n granulars per robot core.
+  // all-pairs scans dominated. Nightly-only for its time: about 3 s of
+  // stepping per run, plus about 1 s to build each of its two swarms
+  // (warm-up included). Memory no longer bars it: with every core's
+  // labelings kept as a NamingRing, a swarm holds about 130 MB.
   m.push_back(cell("sliced_n1024", ProtocolKind::sliced,
                    Synchrony::synchronous, 1024, 2, 1, 19));
   return m;

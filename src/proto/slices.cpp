@@ -40,20 +40,31 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
   for (const sim::ObservedRobot& r : t0.robots) {
     centers_.push_back(r.position);
   }
-  if (naming == NamingMode::by_ids) {
-    ids_.reserve(n_);
-    for (const sim::ObservedRobot& r : t0.robots) {
-      if (!r.id) {
-        throw std::invalid_argument(
-            "NamingMode::by_ids requires an identified system");
+  // Reference directions: North (sense of direction) for the shared
+  // namings, the horizon line H_i for the relative one.
+  std::vector<geom::Vec2> references(n_, geom::Vec2{0.0, 1.0});
+  switch (naming) {
+    case NamingMode::by_ids: {
+      std::vector<sim::VisibleId> ids;
+      ids.reserve(n_);
+      for (const sim::ObservedRobot& r : t0.robots) {
+        if (!r.id) {
+          throw std::invalid_argument(
+              "NamingMode::by_ids requires an identified system");
+        }
+        ids.push_back(*r.id);
       }
-      ids_.push_back(*r.id);
+      ring_ = NamingRing::shared(id_ranks(ids));
+      break;
     }
+    case NamingMode::lexicographic:
+      ring_ = NamingRing::shared(lex_ranks(centers_));
+      break;
+    case NamingMode::relative:
+      ring_ = NamingRing::relative(centers_, geom::cached_sec(centers_),
+                                   references);
+      break;
   }
-
-  shared_ranks_ = naming != NamingMode::relative;
-  std::vector<geom::Vec2> references(n_);
-  compute_ranks(ranks_, inverse_ranks_, &references);
 
   if (n_ >= kAssociateGridThreshold) {
     center_grid_.build(centers_);
@@ -78,78 +89,46 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
   }
 }
 
-void SlicedCore::compute_ranks(std::vector<std::uint32_t>& ranks,
-                               std::vector<std::uint32_t>& inverse,
-                               std::vector<geom::Vec2>* references) const {
-  // Reference directions and labelings. Shared namings (by_ids,
-  // lexicographic) flatten to a single row; relative naming stores one
-  // row per observer.
-  ranks.clear();
-  ranks.reserve(shared_ranks_ ? n_ : n_ * n_);
-  const auto append_row = [&ranks](const std::vector<std::size_t>& row) {
-    for (const std::size_t r : row) {
-      ranks.push_back(static_cast<std::uint32_t>(r));
+void SlicedCore::scramble_naming(std::uint64_t garbage) {
+  if (n_ == 0) return;
+  const std::size_t rows = naming_ == NamingMode::relative ? n_ : 1;
+  const std::size_t cells = rows * n_;
+  const auto patch = [this](bool inverse, std::size_t cell,
+                            std::uint64_t value) {
+    const auto v = static_cast<std::uint32_t>(value % n_);
+    for (NamingPatch& p : patches_) {
+      if (p.inverse == inverse && p.cell == cell) {
+        p.value = v;
+        return;
+      }
     }
+    patches_.push_back(NamingPatch{inverse, cell, v});
   };
-  switch (naming_) {
-    case NamingMode::by_ids: {
-      append_row(id_ranks(ids_));
-      if (references != nullptr) {
-        for (std::size_t i = 0; i < n_; ++i) {
-          // North (sense of direction).
-          (*references)[i] = geom::Vec2{0.0, 1.0};
-        }
-      }
-      break;
-    }
-    case NamingMode::lexicographic: {
-      append_row(lex_ranks(centers_));
-      if (references != nullptr) {
-        for (std::size_t i = 0; i < n_; ++i) {
-          (*references)[i] = geom::Vec2{0.0, 1.0};
-        }
-      }
-      break;
-    }
-    case NamingMode::relative: {
-      // One SEC lookup per core: every cache lookup hashes and compares all
-      // n centers, so fetching it per robot made this loop O(n^2).
-      const geom::Circle sec = geom::cached_sec(centers_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        RelativeNaming rel = relative_naming(centers_, i, sec);
-        append_row(rel.ranks);
-        if (references != nullptr) (*references)[i] = rel.reference;
-      }
-      break;
-    }
-  }
-
-  inverse.assign(ranks.size(), 0);
-  const std::size_t rows = shared_ranks_ ? 1 : n_;
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      inverse[i * n_ + ranks[i * n_ + j]] = static_cast<std::uint32_t>(j);
-    }
-  }
+  patch(false, garbage % cells, garbage >> 8);
+  patch(true, (garbage >> 16) % cells, garbage >> 24);
 }
 
-void SlicedCore::scramble_naming(std::uint64_t garbage) {
-  if (ranks_.empty() || n_ == 0) return;
-  ranks_[garbage % ranks_.size()] =
-      static_cast<std::uint32_t>((garbage >> 8) % n_);
-  inverse_ranks_[(garbage >> 16) % inverse_ranks_.size()] =
-      static_cast<std::uint32_t>((garbage >> 24) % n_);
+std::size_t SlicedCore::patched(bool inverse, std::size_t i,
+                                std::size_t j) const {
+  const std::size_t cell = naming_cell(i, j);
+  for (const NamingPatch& p : patches_) {
+    if (p.inverse == inverse && p.cell == cell) return p.value;
+  }
+  return inverse ? ring_.robot_with_rank(i, j) : ring_.rank(i, j);
 }
 
 bool SlicedCore::audit_naming() {
-  if (n_ == 0) return false;
-  std::vector<std::uint32_t> ranks;
-  std::vector<std::uint32_t> inverse;
-  compute_ranks(ranks, inverse, nullptr);
-  if (ranks == ranks_ && inverse == inverse_ranks_) return false;
-  ranks_ = std::move(ranks);
-  inverse_ranks_ = std::move(inverse);
-  return true;
+  bool repaired = false;
+  for (const NamingPatch& p : patches_) {
+    // Shared namings have one row, which every robot's row equals.
+    const std::size_t i = p.cell / n_;
+    const std::size_t j = p.cell % n_;
+    const std::size_t stored =
+        p.inverse ? ring_.robot_with_rank(i, j) : ring_.rank(i, j);
+    repaired = repaired || p.value != stored;
+  }
+  patches_.clear();
+  return repaired;
 }
 
 std::vector<geom::Vec2> SlicedCore::associate(
@@ -212,9 +191,8 @@ void SlicedCore::associate_into(const sim::Snapshot& snap,
       best = nearest_center(p);
     }
     assert(!filled[best] && "two robots associated to one granular");
-    assert(geom::dist2(p, centers_[best]) <=
-               granulars_[best].radius() * granulars_[best].radius() &&
-           "observed robot outside every granular");
+    // A point outside granular `best` is a transient fault, reported by the
+    // watchdog's granular-containment invariant.
     out[best] = p;
     filled[best] = true;
     left = here;

@@ -78,13 +78,17 @@ class SlicedCore {
 
   /// Rank of robot `j` in robot `i`'s labeling.
   [[nodiscard]] std::size_t rank(std::size_t i, std::size_t j) const {
-    return ranks_.at(row(i) + check_index(j));
+    check_indices(i, j);
+    if (!patches_.empty()) [[unlikely]] return patched(false, i, j);
+    return ring_.rank(i, j);
   }
 
   /// Robot whose rank in `i`'s labeling is `r`.
   [[nodiscard]] std::size_t robot_with_rank(std::size_t i,
                                             std::size_t r) const {
-    return inverse_ranks_.at(row(i) + check_index(r));
+    check_indices(i, r);
+    if (!patches_.empty()) [[unlikely]] return patched(true, i, r);
+    return ring_.robot_with_rank(i, r);
   }
 
   /// Associates the observed configuration to persistent robot indices:
@@ -122,63 +126,62 @@ class SlicedCore {
   }
 
   /// Transient-corruption hook (fault::CorruptTarget::naming): overwrites
-  /// one entry of each rank table with an in-domain garbage value. The
-  /// envelope is type-preserving on purpose: a rank slot holds *some*
-  /// rank, so the corruption silently misroutes signals — the interesting
-  /// failure — instead of tripping a bounds check (fail-stop, which needs
-  /// no stabilization). May be vacuous when the garbage equals the stored
-  /// value; the audit then finds nothing to repair.
+  /// one entry of each labeling view — rank and inverse — with an
+  /// in-domain garbage value, at the cell a flat row-major table of the
+  /// labelings would hold (one row for the shared namings, n for the
+  /// relative one). The envelope is type-preserving on purpose: a rank
+  /// slot holds *some* rank, so the corruption silently misroutes signals
+  /// — the interesting failure — instead of tripping a bounds check
+  /// (fail-stop, which needs no stabilization). May be vacuous when the
+  /// garbage equals the stored value; the audit then finds nothing to
+  /// repair.
   void scramble_naming(std::uint64_t garbage);
 
-  /// Stabilization audit: recomputes the naming tables from the stored t0
-  /// geometry (and ids), compares them to the live tables, and swaps the
-  /// recomputed ones in when they differ. Returns true exactly when a
-  /// repair happened — the caller must then treat all reassembly state
-  /// keyed by ranks as suspect. Bit-exact no-op (but an O(n log n)
-  /// recompute + allocation) on an uncorrupted core, which is why drivers
-  /// only call it when stabilization is armed.
+  /// Stabilization audit: compares every scrambled entry against the
+  /// labelings derived from the stored t0 geometry and drops the
+  /// scrambles. Returns true exactly when one of them differed — the
+  /// caller must then treat all reassembly state keyed by ranks as
+  /// suspect. O(1) on an uncorrupted core.
   [[nodiscard]] bool audit_naming();
 
  private:
-  /// Computes the rank tables (and, when `references` is non-null, each
-  /// robot's reference direction) from centers_/ids_/naming_. Shared by
-  /// the constructor and the stabilization audit so the audit compares
-  /// against exactly the construction-time derivation.
-  void compute_ranks(std::vector<std::uint32_t>& ranks,
-                     std::vector<std::uint32_t>& inverse,
-                     std::vector<geom::Vec2>* references) const;
+  /// A scrambled labeling entry: `cell` indexes the flat row-major table
+  /// of the rank view (`inverse` false) or the inverse view.
+  struct NamingPatch {
+    bool inverse;
+    std::size_t cell;
+    std::uint32_t value;
+  };
+
+  void check_indices(std::size_t i, std::size_t j) const {
+    if (i >= n_) throw std::out_of_range("SlicedCore: robot index");
+    if (j >= n_) throw std::out_of_range("SlicedCore: rank index");
+  }
+
+  /// Cell of (row i, column j) in the flat table of a labeling view:
+  /// shared namings have a single row.
+  [[nodiscard]] std::size_t naming_cell(std::size_t i, std::size_t j) const {
+    return (naming_ == NamingMode::relative ? i * n_ : 0) + j;
+  }
+
+  /// The rank (or inverse) entry (i, j) with the scrambles applied.
+  [[nodiscard]] std::size_t patched(bool inverse, std::size_t i,
+                                    std::size_t j) const;
 
   /// Index of the t0 center nearest `p` (lowest index on exact ties).
   [[nodiscard]] std::size_t nearest_center(const geom::Vec2& p) const;
 
-  [[nodiscard]] std::size_t row(std::size_t i) const {
-    // Shared labelings (by_ids, lexicographic: every robot ranks every
-    // robot identically) store ONE row for the whole swarm; only the
-    // relative naming, which is genuinely per-observer, stores n rows.
-    // Each robot holds its own core, so without sharing an n-robot swarm
-    // carried n * n^2 rank entries — the memory wall that capped the
-    // sliced protocols near n = 256.
-    if (i >= n_) throw std::out_of_range("SlicedCore: robot index");
-    return shared_ranks_ ? 0 : i * n_;
-  }
-  [[nodiscard]] std::size_t check_index(std::size_t j) const {
-    if (j >= n_) throw std::out_of_range("SlicedCore: rank index");
-    return j;
-  }
-
   std::size_t n_ = 0;
   std::size_t self_ = 0;
   std::size_t diameters_ = 0;
-  bool shared_ranks_ = false;
   NamingMode naming_ = NamingMode::lexicographic;
-  std::vector<sim::VisibleId> ids_;  ///< t0 visible ids (by_ids only).
   std::vector<geom::Vec2> centers_;
   std::vector<geom::Granular> granulars_;
-  /// Flat rank tables: row-major rows of length n_ (one shared row when
-  /// `shared_ranks_`). uint32 halves the footprint of the old size_t
-  /// nested vectors; swarms stay far below 2^32 robots.
-  std::vector<std::uint32_t> ranks_;
-  std::vector<std::uint32_t> inverse_ranks_;
+  /// Every robot's labeling, O(n) per core (see NamingRing).
+  NamingRing ring_;
+  /// Live scrambles, latest value per cell; empty outside a corruption
+  /// window, so the rank lookups skip them.
+  std::vector<NamingPatch> patches_;
   /// Nearest-center index for `associate_into`, built once over the t0
   /// centers for large swarms (empty below the threshold — the brute scan
   /// wins there).

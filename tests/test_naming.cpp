@@ -3,6 +3,9 @@
 // rotation, positive uniform scale) as long as handedness is shared.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/angle.hpp"
@@ -197,6 +200,135 @@ TEST(RelativeNaming, SymmetricConfigurationStillRelativelyConsistent) {
   for (std::size_t self = 0; self < 6; ++self) {
     EXPECT_EQ(relative_naming(local, self).ranks,
               relative_naming(pts, self).ranks);
+  }
+}
+
+
+// NamingRing differential: every row of the ring must equal the single-row
+// definition, `relative_naming`, rank for rank, and its reference must be
+// the same H_s bit for bit. Returns the number of explicit rows.
+std::size_t expect_ring_matches_rows(const std::vector<Vec2>& pts,
+                                     const char* what) {
+  const geom::Circle sec = geom::smallest_enclosing_circle(pts);
+  std::vector<Vec2> references;
+  const NamingRing ring = NamingRing::relative(pts, sec, references);
+  EXPECT_EQ(ring.size(), pts.size()) << what;
+  EXPECT_EQ(references.size(), pts.size()) << what;
+  for (std::size_t s = 0; s < pts.size(); ++s) {
+    const RelativeNaming want = relative_naming(pts, s, sec);
+    EXPECT_EQ(references[s], want.reference) << what << " row " << s;
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      EXPECT_EQ(ring.rank(s, j), want.ranks[j])
+          << what << " row " << s << " robot " << j;
+      EXPECT_EQ(ring.robot_with_rank(s, want.ranks[j]), j)
+          << what << " row " << s << " rank " << want.ranks[j];
+    }
+  }
+  return ring.explicit_rows();
+}
+
+std::vector<Vec2> on_circle(double angle, double radius) {
+  return {Vec2{radius * std::cos(angle), radius * std::sin(angle)}};
+}
+
+/// A square lattice centered on O, with or without the robot at O.
+std::vector<Vec2> lattice(int half, bool with_center) {
+  std::vector<Vec2> pts;
+  for (int x = -half; x <= half; ++x) {
+    for (int y = -half; y <= half; ++y) {
+      if (x == 0 && y == 0 && !with_center) continue;
+      pts.push_back(Vec2{1.5 * x, 1.5 * y});
+    }
+  }
+  return pts;
+}
+
+/// Robots on a few rays through the origin, several per ray.
+std::vector<Vec2> rays(std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<Vec2> pts;
+  for (int ray = 0; ray < 7; ++ray) {
+    const double a = rng.uniform(0.0, geom::kTwoPi);
+    for (int k = 1; k <= 5; ++k) {
+      const auto p = on_circle(a, 2.0 * k + rng.uniform(0.0, 1.0));
+      pts.push_back(p.front());
+    }
+  }
+  return pts;
+}
+
+/// Random points plus one robot exactly at their SEC center.
+std::vector<Vec2> with_center_robot(std::uint64_t seed) {
+  std::vector<Vec2> pts = random_points(15, seed);
+  pts.push_back(geom::smallest_enclosing_circle(pts).center);
+  return pts;
+}
+
+/// Random points plus clusters of robots whose angles around the origin
+/// (their SEC center: the cluster radii stay inside the hull ring) differ
+/// by less than `spread` rad, at shuffled distances from it.
+std::vector<Vec2> near_ties(double spread, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<Vec2> pts;
+  for (int k = 0; k < 12; ++k) {
+    pts.push_back(on_circle(geom::kTwoPi * k / 12.0, 40.0).front());
+  }
+  for (int cluster = 0; cluster < 8; ++cluster) {
+    const double a = rng.uniform(0.0, geom::kTwoPi);
+    for (int k = 0; k < 5; ++k) {
+      pts.push_back(on_circle(a + rng.uniform(0.0, spread),
+                              4.0 * k + 5.0 + rng.uniform(0.0, 2.0))
+                        .front());
+    }
+  }
+  return pts;
+}
+
+std::vector<Vec2> in_random_frame(const std::vector<Vec2>& pts,
+                                  sim::Rng& rng) {
+  const sim::Frame f(Vec2{rng.uniform(-30, 30), rng.uniform(-30, 30)},
+                     rng.uniform(0.0, geom::kTwoPi), rng.uniform(0.2, 5.0),
+                     false);
+  return transform_all(pts, f);
+}
+
+TEST(NamingRing, GenericConfigurationsAreRotations) {
+  std::vector<std::pair<std::string, std::vector<Vec2>>> cases;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const std::size_t n : {2u, 3u, 9u, 40u}) {
+      cases.emplace_back("random", random_points(n, seed * 31 + n));
+    }
+    cases.emplace_back("rays", rays(seed));
+    cases.emplace_back("center robot", with_center_robot(seed));
+  }
+  cases.emplace_back("lattice", lattice(3, false));
+  cases.emplace_back("lattice with center", lattice(3, true));
+  sim::Rng rng(2026);
+  for (const auto& [what, pts] : cases) {
+    EXPECT_EQ(expect_ring_matches_rows(pts, what.c_str()), 0u) << what;
+    for (int frame = 0; frame < 3; ++frame) {
+      EXPECT_EQ(expect_ring_matches_rows(in_random_frame(pts, rng),
+                                         what.c_str()),
+                0u)
+          << what << " frame " << frame;
+    }
+  }
+}
+
+TEST(NamingRing, NearTiesFallBackToExplicitRows) {
+  sim::Rng rng(77);
+  for (const double spread : {1e-8, 1e-6}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::vector<Vec2> pts = near_ties(spread, seed);
+      EXPECT_GE(expect_ring_matches_rows(pts, "near ties"), 1u)
+          << spread << " seed " << seed;
+      for (int frame = 0; frame < 3; ++frame) {
+        EXPECT_GE(
+            expect_ring_matches_rows(in_random_frame(pts, rng), "near ties"),
+            1u)
+            << spread << " seed " << seed << " frame " << frame;
+      }
+    }
   }
 }
 

@@ -209,5 +209,69 @@ TEST(SlicedCore, HintedAssociationMatchesColdCore) {
   }
 }
 
+
+TEST(SlicedCore, ScrambleLandsOnTheFlatTableCell) {
+  // A scramble lands where it did when the labelings were flat row-major
+  // tables (n rows for the relative naming, one shared row otherwise): the
+  // rank cell garbage % cells takes (garbage >> 8) % n, the inverse cell
+  // (garbage >> 16) % cells takes (garbage >> 24) % n. The audit reports
+  // exactly the non-vacuous scrambles and restores the fresh answers.
+  const std::vector<Vec2> pts{Vec2{0, 0},  Vec2{6, 1},   Vec2{-2, 7},
+                              Vec2{5, -6}, Vec2{-7, -3}, Vec2{3, 9},
+                              Vec2{-9, 4}};
+  const std::size_t n = pts.size();
+  sim::Rng rng(4242);
+  for (const NamingMode mode :
+       {NamingMode::relative, NamingMode::lexicographic}) {
+    const SlicedCore fresh(snapshot_of(pts, 2), mode, 4);
+    const std::size_t rows = mode == NamingMode::relative ? n : 1;
+    const std::size_t cells = rows * n;
+    // Cell (i, j) of the flat table robot i reads.
+    const auto cell = [&](std::size_t i, std::size_t j) {
+      return (rows == 1 ? 0 : i * n) + j;
+    };
+    std::size_t vacuous = 0;
+    std::size_t repaired = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+      // Small values leave the high bytes zero (value 0 on cell 0 of the
+      // inverse view), which makes vacuous scrambles common.
+      const std::uint64_t garbage =
+          trial % 2 == 0 ? rng.uniform_int(0, 1u << 12) : rng.engine()();
+      const std::size_t rank_cell = garbage % cells;
+      const std::size_t rank_value = (garbage >> 8) % n;
+      const std::size_t inverse_cell = (garbage >> 16) % cells;
+      const std::size_t inverse_value = (garbage >> 24) % n;
+      SlicedCore core = fresh;
+      core.scramble_naming(garbage);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          EXPECT_EQ(core.rank(i, j),
+                    cell(i, j) == rank_cell ? rank_value : fresh.rank(i, j))
+              << "trial " << trial << " (" << i << ", " << j << ")";
+          EXPECT_EQ(core.robot_with_rank(i, j),
+                    cell(i, j) == inverse_cell ? inverse_value
+                                               : fresh.robot_with_rank(i, j))
+              << "trial " << trial << " (" << i << ", " << j << ")";
+        }
+      }
+      const bool changed =
+          fresh.rank(rank_cell / n, rank_cell % n) != rank_value ||
+          fresh.robot_with_rank(inverse_cell / n, inverse_cell % n) !=
+              inverse_value;
+      EXPECT_EQ(core.audit_naming(), changed) << "trial " << trial;
+      (changed ? repaired : vacuous) += 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(core.rank(i, j), fresh.rank(i, j));
+          ASSERT_EQ(core.robot_with_rank(i, j), fresh.robot_with_rank(i, j));
+        }
+      }
+      EXPECT_FALSE(core.audit_naming());
+    }
+    EXPECT_GT(vacuous, 0u);
+    EXPECT_GT(repaired, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace stig::proto
