@@ -9,12 +9,6 @@
 namespace stig::proto {
 namespace {
 
-/// Displacements below this fraction of the granular radius read as "at the
-/// center". Signal amplitudes are >= 1e-3 of the radius by construction, and
-/// coordinate round-trip noise is ~1e-13 absolute, so the band is safe on
-/// both sides. Being radius-relative makes the threshold frame-invariant.
-constexpr double kCenterFraction = 1e-7;
-
 /// Swarm size at which `associate_into` switches from the brute
 /// nearest-center scan to the t0-center PointGrid (same nearest index —
 /// see geom/point_grid.hpp's exactness contract).
@@ -27,6 +21,15 @@ constexpr std::size_t kAssociateGridThreshold = 64;
 /// nearest-center query could only have answered h.
 constexpr double kHintFraction = 0.9;
 
+/// Relative margin of the squared at-rest bound. With lo = kCenterFraction·R
+/// (the double `Granular::classify` compares against), the rounded
+/// dx² + dy² is within a few ulp of |d|², the bound's own two roundings add
+/// two more, and `hypot` is within 1 ulp of |d|. So a rounded dx² + dy² at
+/// or below lo²·(1 − kRestMargin) proves hypot(d) <= lo, the exact "at the
+/// center" answer, with over a million ulp to spare. Points between the
+/// two bounds take the exact path.
+constexpr double kRestMargin = 1e-9;
+
 }  // namespace
 
 SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
@@ -36,9 +39,10 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
       diameters_(diameter_count),
       naming_(naming) {
   assert(diameter_count >= 1);
-  centers_.reserve(n_);
+  std::vector<geom::Vec2> centers;
+  centers.reserve(n_);
   for (const sim::ObservedRobot& r : t0.robots) {
-    centers_.push_back(r.position);
+    centers.push_back(r.position);
   }
   // Reference directions: North (sense of direction) for the shared
   // namings, the horizon line H_i for the relative one.
@@ -58,16 +62,16 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
       break;
     }
     case NamingMode::lexicographic:
-      ring_ = NamingRing::shared(lex_ranks(centers_));
+      ring_ = NamingRing::shared(lex_ranks(centers));
       break;
     case NamingMode::relative:
-      ring_ = NamingRing::relative(centers_, geom::cached_sec(centers_),
+      ring_ = NamingRing::relative(centers, geom::cached_sec(centers),
                                    references);
       break;
   }
 
   if (n_ >= kAssociateGridThreshold) {
-    center_grid_.build(centers_);
+    center_grid_.build(centers);
   }
   // The t0 snapshot lists robot k in slot k.
   assoc_prev_.resize(n_);
@@ -76,16 +80,27 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
   }
 
   granulars_.reserve(n_);
+  sites_.reserve(n_);
   // Memoized per configuration epoch: all n robots build their SlicedCore
   // from the same t0 snapshot, so one O(n^2) radii pass serves the swarm.
   const std::vector<double>& radii =
-      geom::GeomCache::local().granular_radii(centers_);
+      geom::GeomCache::local().granular_radii(centers);
   for (std::size_t i = 0; i < n_; ++i) {
     const double r = radii[i];
     if (r <= 0.0) {
       throw std::invalid_argument("granular radius must be positive");
     }
-    granulars_.emplace_back(centers_[i], r, diameters_, references[i]);
+    granulars_.emplace_back(centers[i], r, diameters_, references[i]);
+    const double hint = kHintFraction * r;
+    const double lo = kCenterFraction * r;
+    // Outside the normal range the squares lose their relative accuracy
+    // (underflow) or every point would pass (overflow): no early-out.
+    double rest = lo * lo * (1.0 - kRestMargin);
+    if (!(rest >= std::numeric_limits<double>::min() &&
+          rest <= std::numeric_limits<double>::max())) {
+      rest = -1.0;
+    }
+    sites_.push_back(Site{centers[i], hint * hint, rest});
   }
 }
 
@@ -145,7 +160,7 @@ std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
   std::size_t best = 0;
   double best_d2 = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n_; ++i) {
-    const double d2 = geom::dist2(p, centers_[i]);
+    const double d2 = geom::dist2(p, sites_[i].center);
     if (d2 < best_d2) {
       best_d2 = d2;
       best = i;
@@ -166,8 +181,7 @@ void SlicedCore::associate_into(const sim::Snapshot& snap,
   };
   const auto deep_inside = [&](std::size_t h, const geom::Vec2& p) {
     if (h >= n_ || filled[h]) return false;
-    const double r = kHintFraction * granulars_[h].radius();
-    return geom::dist2(p, centers_[h]) < r * r;
+    return geom::dist2(p, sites_[h].center) < sites_[h].hint_r2;
   };
   std::size_t left = n_;  // Previous owner of slot k - 1.
   for (std::size_t k = 0; k < snap.robots.size(); ++k) {
@@ -203,6 +217,11 @@ void SlicedCore::associate_into(const sim::Snapshot& snap,
 std::optional<Signal> SlicedCore::classify(std::size_t i,
                                            const geom::Vec2& pos) const {
   const geom::Granular& g = granulars_.at(i);
+  // Most observed robots rest at their centers: answer those without the
+  // norm and the angle (kRestMargin's argument makes this exact).
+  if (geom::dist2(pos, sites_[i].center) <= sites_[i].rest_r2) {
+    return std::nullopt;
+  }
   const auto fix = g.classify(pos, kCenterFraction * g.radius());
   if (!fix) return std::nullopt;
   if (fix->angular_error > g.slice_width() / 4.0) return std::nullopt;

@@ -48,6 +48,13 @@ struct Signal {
 
 class SlicedCore {
  public:
+  /// Displacements at or below this fraction of the granular radius read
+  /// as "at the center". Signal amplitudes are >= 1e-3 of the radius by
+  /// construction, and coordinate round-trip noise is ~1e-13 absolute, so
+  /// the band is safe on both sides. Being radius-relative makes the
+  /// threshold frame-invariant.
+  static constexpr double kCenterFraction = 1e-7;
+
   SlicedCore() = default;
 
   /// Builds the substrate from the t0 snapshot.
@@ -68,7 +75,7 @@ class SlicedCore {
 
   /// t0 position of robot `i` (local frame) — its granular center.
   [[nodiscard]] const geom::Vec2& center(std::size_t i) const {
-    return centers_.at(i);
+    return sites_.at(i).center;
   }
 
   /// Granular of robot `i`, sliced with `i`'s reference direction.
@@ -109,8 +116,10 @@ class SlicedCore {
 
   /// Classifies robot `i`'s current position against its granular slicing.
   /// Returns nullopt when the robot is at (indistinguishable from) its
-  /// center. A genuine signal has negligible angular error; fixes whose
-  /// error exceeds a quarter slice are rejected as noise.
+  /// center, i.e. within kCenterFraction of the radius. A genuine signal
+  /// has negligible angular error; fixes whose error exceeds a quarter
+  /// slice are rejected as noise. Points well inside the at-rest bound are
+  /// answered from a squared distance, without the norm or the angle.
   [[nodiscard]] std::optional<Signal> classify(std::size_t i,
                                                const geom::Vec2& pos) const;
 
@@ -153,6 +162,17 @@ class SlicedCore {
     std::uint32_t value;
   };
 
+  /// One robot's granular as association and classification read it:
+  /// its t0 position (the granular center), the squared association-hint
+  /// radius (kHintFraction·R)², and the squared at-rest bound
+  /// (kCenterFraction·R)²·(1 − kRestMargin), or −1 where that square
+  /// would leave the normal double range (see slices.cpp).
+  struct Site {
+    geom::Vec2 center;
+    double hint_r2;
+    double rest_r2;
+  };
+
   void check_indices(std::size_t i, std::size_t j) const {
     if (i >= n_) throw std::out_of_range("SlicedCore: robot index");
     if (j >= n_) throw std::out_of_range("SlicedCore: rank index");
@@ -175,7 +195,8 @@ class SlicedCore {
   std::size_t self_ = 0;
   std::size_t diameters_ = 0;
   NamingMode naming_ = NamingMode::lexicographic;
-  std::vector<geom::Vec2> centers_;
+  /// Per robot, built once in the constructor.
+  std::vector<Site> sites_;
   std::vector<geom::Granular> granulars_;
   /// Every robot's labeling, O(n) per core (see NamingRing).
   NamingRing ring_;

@@ -214,19 +214,58 @@ void Engine::build_observation(RobotIndex i,
     if (q <= 0.0) return p;
     return geom::Vec2{std::round(p.x / q) * q, std::round(p.y / q) * q};
   };
+  // Self: current and exact (odometry). Others: possibly stale (CORDA-ish
+  // delay) and quantized (sensor resolution).
+  const auto observed = [&](std::size_t j) {
+    return f.to_local(j == i ? config[j] : quantize(stale_config[j]));
+  };
+  const std::size_t n = config.size();
+  out.t = t;
+  // Temporal coherence (anonymous systems): between two observations of
+  // one robot most robots keep their places, so the previous order is
+  // nearly sorted. Transform straight into the snapshot in that order and
+  // insertion-sort positions and order row together — linear when few
+  // robots changed places. Without ties the sorted order is unique, so
+  // this equals the cold build; with a tie (or a NaN) std::sort's order is
+  // unspecified, so rebuild cold below.
+  if (order != nullptr && order->size() == n) {
+    std::uint32_t* const row = order->data();
+    out.robots.resize(n);
+    ObservedRobot* const robots = out.robots.data();
+    for (std::size_t k = 0; k < n; ++k) {
+      robots[k] = ObservedRobot{observed(row[k]), std::nullopt};
+    }
+    bool strict = true;
+    for (std::size_t k = 1; k < n; ++k) {
+      const geom::Vec2 p = robots[k].position;
+      const std::uint32_t j = row[k];
+      std::size_t m = k;
+      for (; m > 0 && p < robots[m - 1].position; --m) {
+        robots[m].position = robots[m - 1].position;
+        row[m] = row[m - 1];
+      }
+      robots[m].position = p;
+      row[m] = j;
+      // Every shifted entry is strictly above p; the one it stopped at
+      // must be strictly below, or the order is not unique.
+      strict = strict && (m == 0 || robots[m - 1].position < p);
+    }
+    if (strict) {
+      out.self = static_cast<std::size_t>(std::find(row, row + n, i) - row);
+      return;
+    }
+  }
+  // Cold build: every candidate entry, then the snapshot order.
   entries.clear();
-  entries.reserve(config.size());
+  entries.reserve(n);
   const auto append = [&](std::size_t j) {
-    // Self: current and exact (odometry). Others: possibly stale (CORDA-ish
-    // delay), quantized (sensor resolution), and dropped when out of the
-    // visibility radius.
-    const geom::Vec2 global = j == i ? config[j] : stale_config[j];
+    // Robots out of the visibility radius are not seen at all.
     if (j != i && options_.visibility_radius > 0.0 &&
-        geom::dist(global, config[i]) > options_.visibility_radius) {
+        geom::dist(stale_config[j], config[i]) > options_.visibility_radius) {
       return;
     }
     SnapshotEntry e;
-    e.obs.position = f.to_local(j == i ? global : quantize(global));
+    e.obs.position = observed(j);
     e.obs.id = identified_ ? specs_[j].id : std::nullopt;
     e.index = j;
     entries.push_back(e);
@@ -239,47 +278,22 @@ void Engine::build_observation(RobotIndex i,
   if (identified_) {
     for (const RobotIndex j : id_order_) append(j);
   } else {
-    const auto lex_less = [](const SnapshotEntry& a, const SnapshotEntry& b) {
-      return a.obs.position < b.obs.position;
-    };
-    const std::size_t n = config.size();
-    // Temporal coherence: between two observations of one robot most
-    // robots keep their places, so the previous order is nearly sorted.
-    // Without ties the sorted order is unique, so this equals the cold
-    // build; with ties std::sort's order is unspecified, so rebuild.
-    bool warm = order != nullptr && order->size() == n;
-    if (warm) {
-      for (const std::uint32_t j : *order) append(j);
-      warm = entries.size() == n;
-    }
-    if (warm) {
-      for (std::size_t k = 1; k < n; ++k) {
-        SnapshotEntry e = entries[k];
-        std::size_t m = k;
-        for (; m > 0 && lex_less(e, entries[m - 1]); --m) {
-          entries[m] = entries[m - 1];
-        }
-        entries[m] = e;
-      }
-      for (std::size_t k = 1; k < n && warm; ++k) {
-        warm = lex_less(entries[k - 1], entries[k]);
-      }
-    }
-    if (!warm) {
-      entries.clear();
-      for (std::size_t j = 0; j < n; ++j) append(j);
-      std::sort(entries.begin(), entries.end(), lex_less);
-    }
+    for (std::size_t j = 0; j < n; ++j) append(j);
+    std::sort(entries.begin(), entries.end(),
+              [](const SnapshotEntry& a, const SnapshotEntry& b) {
+                return a.obs.position < b.obs.position;
+              });
+    // The warm path needs every robot in sight: a visibility radius
+    // changes the entry count between observations, so it keeps no row.
     if (order != nullptr) {
       order->clear();
-      if (entries.size() == n) {
+      if (options_.visibility_radius <= 0.0) {
         for (const SnapshotEntry& e : entries) {
           order->push_back(static_cast<std::uint32_t>(e.index));
         }
       }
     }
   }
-  out.t = t;
   out.self = 0;
   out.robots.clear();
   out.robots.reserve(entries.size());

@@ -217,6 +217,14 @@ class Engine {
   /// tests; the engine itself uses `build_observation` during `step`).
   [[nodiscard]] Snapshot make_snapshot(RobotIndex i) const;
 
+  /// The cold build of the snapshot robot `i` observes at instant `t`:
+  /// itself at `config[i]`, every other robot j at `stale_config[j]`
+  /// (quantized, and dropped beyond the visibility radius). The oracle the
+  /// step path's warm observations must equal (exposed for tests).
+  [[nodiscard]] Snapshot make_snapshot_at(
+      RobotIndex i, std::span<const geom::Vec2> config,
+      std::span<const geom::Vec2> stale_config, Time t) const;
+
   /// Engine indices in the order robot `i` observed them at t0 (the order
   /// of `Snapshot::robots` passed to `Robot::initialize`). Lets the
   /// application layer translate between simulator indices and each robot's
@@ -236,7 +244,7 @@ class Engine {
   void teleport(RobotIndex i, const geom::Vec2& global_position);
 
  private:
-  /// One candidate row of a snapshot before sorting (observation order).
+  /// One candidate row of a cold-built snapshot before sorting.
   struct SnapshotEntry {
     ObservedRobot obs;
     RobotIndex index = 0;
@@ -245,10 +253,6 @@ class Engine {
   [[nodiscard]] std::size_t slot(Time e) const noexcept {
     return static_cast<std::size_t>(e % ring_.size());
   }
-
-  [[nodiscard]] Snapshot make_snapshot_at(
-      RobotIndex i, std::span<const geom::Vec2> config,
-      std::span<const geom::Vec2> stale_config, Time t) const;
 
   /// The snapshot builder behind `make_snapshot_at`, writing into
   /// caller-provided storage so the hot loop can reuse engine-owned
@@ -259,10 +263,13 @@ class Engine {
   /// `order` (anonymous systems; null for a cold build) holds the engine
   /// indices in the order this observer's previous observation listed
   /// them and is updated to this one's. When it lists every robot, the
-  /// entries are appended in that order and insertion-sorted — linear
-  /// when few robots changed places. A tie between two entries or a
-  /// robot out of sight falls back to the cold build (index order plus
-  /// std::sort), so the snapshot is always exactly the cold one.
+  /// positions are written straight into `out.robots` in that order and
+  /// insertion-sorted together with the row — linear when few robots
+  /// changed places — and `out.self` is read from the sorted row. A tie
+  /// or a NaN falls back to the cold build (entries in index order plus
+  /// std::sort, then copied out), so the snapshot is always exactly the
+  /// cold one. With a visibility radius the row stays empty: every build
+  /// is cold.
   void build_observation(RobotIndex i, std::span<const geom::Vec2> config,
                          std::span<const geom::Vec2> stale_config, Time t,
                          std::vector<SnapshotEntry>& entries, Snapshot& out,

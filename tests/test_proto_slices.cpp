@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "geom/angle.hpp"
 #include "proto/slices.hpp"
@@ -209,6 +210,83 @@ TEST(SlicedCore, HintedAssociationMatchesColdCore) {
   }
 }
 
+
+TEST(SlicedCore, AtRestRejectionMatchesGranularClassify) {
+  // classify answers robots deep inside the at-rest bound from a squared
+  // distance. Its answer must equal the exact decision everywhere:
+  // Granular::classify against kCenterFraction·R, then the quarter-slice
+  // rule. Probes: the center, random off-center points, and lengths
+  // (1 ± eps)·kCenterFraction·R straddling the bound — along a
+  // half-diameter (where the exact answer is a signal) and at a random
+  // angle — for diameter counts n, n+1 and k+1, in similarity frames with
+  // units from 1e-6 to 1e6.
+  const auto exact = [](const geom::Granular& g,
+                        const Vec2& p) -> std::optional<Signal> {
+    const auto fix = g.classify(p, SlicedCore::kCenterFraction * g.radius());
+    if (!fix || fix->angular_error > g.slice_width() / 4.0) {
+      return std::nullopt;
+    }
+    return Signal{fix->diameter, fix->side};
+  };
+  const std::size_t n = 12;
+  const std::size_t k = 3;
+  sim::Rng rng(4242);
+  std::size_t near_rest = 0;
+  std::size_t near_signal = 0;
+  for (const double unit : {1e-6, 1e-3, 1.0, 1e3, 1e6}) {
+    const double rot = rng.uniform(0.0, geom::kTwoPi);
+    const bool mirrored = rng.flip(0.5);
+    const Vec2 shift{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
+    std::vector<Vec2> pts;
+    for (std::size_t i = 0; i < n; ++i) {
+      Vec2 p{static_cast<double>(i % 4) * 3.0 + rng.uniform(-0.5, 0.5),
+             static_cast<double>(i / 4) * 3.0 + rng.uniform(-0.5, 0.5)};
+      p = p.rotated(rot) + shift;
+      if (mirrored) p.x = -p.x;
+      pts.push_back(p * unit);
+    }
+    for (const std::size_t count : {n, n + 1, k + 1}) {
+      for (const NamingMode naming :
+           {NamingMode::lexicographic, NamingMode::relative}) {
+        const SlicedCore core(snapshot_of(pts, 0), naming, count);
+        for (std::size_t j = 0; j < n; ++j) {
+          const geom::Granular& g = core.granular(j);
+          const double lo = SlicedCore::kCenterFraction * g.radius();
+          std::vector<Vec2> probes{g.center()};
+          for (int s = 0; s < 8; ++s) {
+            const double a = rng.uniform(0.0, geom::kTwoPi);
+            probes.push_back(g.center() + Vec2{std::cos(a), std::sin(a)} *
+                                              rng.uniform(0.0, 0.95) *
+                                              g.radius());
+          }
+          for (const double eps : {0.0, 1e-15, 1e-12, 1e-9, 1e-6}) {
+            for (const double len : {lo * (1.0 - eps), lo * (1.0 + eps)}) {
+              const auto d = static_cast<std::size_t>(
+                  rng.uniform_int(0, count - 1));
+              const auto side = rng.flip(0.5) ? geom::DiameterSide::positive
+                                              : geom::DiameterSide::negative;
+              probes.push_back(g.point_on(d, side, len));
+              const double a = rng.uniform(0.0, geom::kTwoPi);
+              probes.push_back(g.center() +
+                               Vec2{std::cos(a), std::sin(a)} * len);
+            }
+          }
+          for (const Vec2& p : probes) {
+            const auto want = exact(g, p);
+            const double r = geom::dist(p, g.center()) / lo;
+            ASSERT_EQ(core.classify(j, p), want)
+                << "unit=" << unit << " count=" << count << " robot=" << j
+                << " |d|/lo=" << r;
+            if (r > 0.5 && r < 2.0) ++(want ? near_signal : near_rest);
+          }
+        }
+      }
+    }
+  }
+  // Both answers occur right at the bound.
+  EXPECT_GT(near_rest, 0u);
+  EXPECT_GT(near_signal, 0u);
+}
 
 TEST(SlicedCore, ScrambleLandsOnTheFlatTableCell) {
   // A scramble lands where it did when the labelings were flat row-major

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "geom/angle.hpp"
@@ -311,101 +312,147 @@ TEST(Engine, PositionsSpanAliasesCurrentEpoch) {
 }
 
 TEST(Engine, WarmObservationsMatchFreshEngine) {
-  // The step path rebuilds each observer's anonymous snapshot from its
-  // previous order; every snapshot it hands out must equal the cold build
-  // of a fresh engine teleported into the same configuration. Random
-  // frames, random walks (most robots idle, so orders mostly persist),
-  // sensor quantization (ties between merged robots) and a visibility
-  // radius (entry counts that change between activations).
+  // The step path rebuilds each observer's anonymous snapshot in place
+  // from its previous order; every snapshot it hands out must equal the
+  // cold build, `make_snapshot_at`, of the same configurations. Cases:
+  // random frames and random walks (most robots idle, so orders mostly
+  // persist); sensor quantization (ties between merged robots);
+  // observation delay (others stale, self current); a visibility radius
+  // (entry counts that change between activations); a 200-robot swarm
+  // whose movers jump several lexicographic slots; and robots parked on
+  // the quantization grid, so an observer's exact self ties with a
+  // neighbour snapped onto it — only the tie fallback gets `self` right.
   class Wanderer final : public Robot {
    public:
-    Wanderer(std::uint64_t seed, std::vector<Snapshot>* seen)
-        : rng_(seed), seen_(seen) {}
+    Wanderer(std::uint64_t seed, double stay, double step,
+             std::vector<Snapshot>* seen, std::size_t index)
+        : rng_(seed), stay_(stay), step_(step), seen_(seen), index_(index) {}
     void initialize(const Snapshot&) override {}
     Vec2 on_activate(const Snapshot& snap) override {
       (*seen_)[index_] = snap;
       const Vec2 self = snap.self_robot().position;
-      if (rng_.flip(0.7)) return self;
-      return self + Vec2{rng_.uniform(-0.4, 0.4), rng_.uniform(-0.4, 0.4)};
+      if (rng_.flip(stay_)) return self;
+      return self + Vec2{rng_.uniform(-step_, step_),
+                         rng_.uniform(-step_, step_)};
     }
-    std::size_t index_ = 0;
 
    private:
     Rng rng_;
+    double stay_;
+    double step_;
     std::vector<Snapshot>* seen_;
+    std::size_t index_;
   };
   struct Case {
     double quantum;
     double visibility;
+    Time delay;
+    std::size_t n;
+    double step;  ///< Largest move per axis, in local units.
+    bool parked;  ///< Identity frames; even robots parked on the grid.
   };
-  for (const Case c : {Case{0.0, 0.0}, Case{1.0, 0.0}, Case{0.0, 2.5},
-                       Case{1.0, 2.5}}) {
-    const std::size_t n = 24;
+  for (const Case c :
+       {Case{0.0, 0.0, 0, 24, 0.4, false}, Case{1.0, 0.0, 0, 24, 0.4, false},
+        Case{0.0, 2.5, 0, 24, 0.4, false}, Case{1.0, 2.5, 0, 24, 0.4, false},
+        Case{0.0, 0.0, 2, 24, 0.4, false}, Case{1.0, 0.0, 2, 24, 0.4, false},
+        Case{0.0, 0.0, 0, 200, 4.0, false},
+        Case{1.0, 0.0, 0, 24, 0.3, true}}) {
+    const std::string where = "q=" + std::to_string(c.quantum) +
+                              " vis=" + std::to_string(c.visibility) +
+                              " delay=" + std::to_string(c.delay) +
+                              " n=" + std::to_string(c.n) +
+                              (c.parked ? " parked" : "");
+    const std::size_t n = c.n;
+    const std::size_t cols = c.n > 24 ? 20 : 6;
     Rng rng(77);
     std::vector<RobotSpec> specs;
     for (std::size_t i = 0; i < n; ++i) {
-      // Unit spacing against a unit quantum: neighbours often snap to one
-      // grid point, so observations hold ties.
       RobotSpec s;
-      s.position = Vec2{static_cast<double>(i % 6) + rng.uniform(0, 0.5),
-                        static_cast<double>(i / 6) + rng.uniform(0, 0.5)};
-      s.frame_rotation = rng.uniform(0.0, geom::kTwoPi);
-      s.frame_unit = rng.uniform(0.5, 2.0);
-      s.frame_mirrored = rng.flip(0.5);
+      s.sigma = 2.0 * c.step;
+      if (c.parked) {
+        // Pairs on a spacing-2 grid: the even robot exactly on a grid
+        // point, the odd one in that point's quantization cell.
+        const std::size_t m = i / 2;
+        s.position = Vec2{static_cast<double>(m % cols) * 2.0,
+                          static_cast<double>(m / cols) * 2.0};
+        if (i % 2 == 1) {
+          s.position += Vec2{rng.uniform(-0.45, 0.45),
+                             rng.uniform(-0.45, 0.45)};
+        }
+      } else {
+        // Unit spacing against a unit quantum: neighbours often snap to
+        // one grid point, so observations hold ties.
+        s.position = Vec2{static_cast<double>(i % cols) + rng.uniform(0, 0.5),
+                          static_cast<double>(i / cols) + rng.uniform(0, 0.5)};
+        s.frame_rotation = rng.uniform(0.0, geom::kTwoPi);
+        s.frame_unit = rng.uniform(0.5, 2.0);
+        s.frame_mirrored = rng.flip(0.5);
+      }
       specs.push_back(s);
     }
     EngineOptions opt;
     opt.observation_quantum = c.quantum;
     opt.visibility_radius = c.visibility;
+    opt.observation_delay = c.delay;
+    opt.check_collisions = false;  // Random walks may pass arbitrarily close.
     std::vector<Snapshot> seen(n);
     std::vector<std::unique_ptr<Robot>> programs;
     for (std::size_t i = 0; i < n; ++i) {
-      auto w = std::make_unique<Wanderer>(100 + i, &seen);
-      w->index_ = i;
-      programs.push_back(std::move(w));
+      // Parked robots never move: in an identity frame their target is
+      // their anchor, exactly.
+      const double stay = c.parked && i % 2 == 0 ? 1.0 : 0.7;
+      programs.push_back(
+          std::make_unique<Wanderer>(100 + i, stay, c.step, &seen, i));
     }
     Engine e(specs, std::move(programs),
              std::make_unique<BernoulliScheduler>(0.5, 5), opt);
+    std::vector<std::vector<Vec2>> history;  // Configuration per instant.
     std::size_t ties = 0;
+    std::size_t self_ties = 0;
     std::size_t partial = 0;
-    for (Time t = 0; t < 150; ++t) {
+    std::size_t stale_views = 0;
+    const Time instants = n > 24 ? 40 : 150;
+    for (Time t = 0; t < instants; ++t) {
       for (Snapshot& s : seen) s.robots.clear();
-      const std::vector<Vec2> config(e.positions().begin(),
-                                     e.positions().end());
+      history.emplace_back(e.positions().begin(), e.positions().end());
       e.step();
-      std::vector<std::unique_ptr<Robot>> sitters;
-      for (std::size_t i = 0; i < n; ++i) {
-        sitters.push_back(std::make_unique<Sitter>());
-      }
-      EngineOptions cold_opt = opt;
-      cold_opt.check_collisions = false;
-      Engine cold(specs, std::move(sitters),
-                  std::make_unique<SynchronousScheduler>(), cold_opt);
-      for (std::size_t i = 0; i < n; ++i) cold.teleport(i, config[i]);
+      const std::vector<Vec2>& config = history[t];
+      const std::vector<Vec2>& stale = history[t >= c.delay ? t - c.delay : 0];
+      if (stale != config) ++stale_views;
       for (std::size_t i = 0; i < n; ++i) {
         if (seen[i].robots.empty()) continue;  // Not active this instant.
-        const Snapshot want = cold.make_snapshot(i);
-        ASSERT_EQ(seen[i].self, want.self) << "t=" << t << " robot " << i;
-        ASSERT_EQ(seen[i].robots.size(), want.robots.size())
-            << "t=" << t << " robot " << i;
+        const Snapshot want = e.make_snapshot_at(i, config, stale, t);
+        const Snapshot& got = seen[i];
+        ASSERT_EQ(got.t, want.t) << where << " t=" << t << " robot " << i;
+        ASSERT_EQ(got.self, want.self) << where << " t=" << t << " robot " << i;
+        ASSERT_EQ(got.robots.size(), want.robots.size())
+            << where << " t=" << t << " robot " << i;
         for (std::size_t k = 0; k < want.robots.size(); ++k) {
-          ASSERT_EQ(seen[i].robots[k].position, want.robots[k].position)
-              << "q=" << c.quantum << " vis=" << c.visibility << " t=" << t
-              << " robot " << i << " slot " << k;
+          ASSERT_EQ(got.robots[k].position, want.robots[k].position)
+              << where << " t=" << t << " robot " << i << " slot " << k;
+          ASSERT_FALSE(got.robots[k].id.has_value())
+              << where << " t=" << t << " robot " << i << " slot " << k;
           if (k > 0 && want.robots[k].position ==
                            want.robots[k - 1].position) {
             ++ties;
+            if (k == want.self || k - 1 == want.self) ++self_ties;
           }
         }
         if (want.robots.size() < n) ++partial;
       }
     }
-    // The fallbacks under test were actually reached.
+    // The fallbacks and stale views under test were actually reached.
     if (c.quantum > 0.0) {
-      EXPECT_GT(ties, 0u);
+      EXPECT_GT(ties, 0u) << where;
+    }
+    if (c.parked) {
+      EXPECT_GT(self_ties, 0u) << where;
     }
     if (c.visibility > 0.0) {
-      EXPECT_GT(partial, 0u);
+      EXPECT_GT(partial, 0u) << where;
+    }
+    if (c.delay > 0) {
+      EXPECT_GT(stale_views, 0u) << where;
     }
   }
 }
