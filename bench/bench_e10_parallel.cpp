@@ -113,8 +113,10 @@ int main() {
   report.value("geom_cache_hits", hits);
   report.value("geom_cache_misses", misses);
   report.value("construction_wall_seconds", cwall);
-  std::cout << "\nexpected shape: one miss per distinct configuration and "
-               "thousands of hits — every robot's labeling pass reuses the "
-               "one SEC/radii computation of the shared t0 snapshot.\n";
+  std::cout << "\nexpected shape: one miss and one hit per robot — each "
+               "robot's t0 view, in its own frame, is a distinct "
+               "configuration; its relative naming computes that view's SEC "
+               "(the miss) and its granular radii reuse the same entry (the "
+               "hit).\n";
   return all_identical ? 0 : 1;
 }

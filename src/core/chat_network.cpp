@@ -78,6 +78,11 @@ const char* protocol_kind_name(ProtocolKind kind) {
   return "unknown";
 }
 
+bool has_granular_containment(ProtocolKind kind) {
+  return kind == ProtocolKind::sliced || kind == ProtocolKind::ksegment ||
+         kind == ProtocolKind::asyncn;
+}
+
 const char* scheduler_kind_name(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::bernoulli: return "bernoulli";

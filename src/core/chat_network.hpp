@@ -55,6 +55,11 @@ enum class SchedulerKind : unsigned char {
 
 /// Stable lower-case name for a protocol kind ("sync2", "asyncn", ...).
 [[nodiscard]] const char* protocol_kind_name(ProtocolKind kind);
+/// Whether the watchdog's granular-containment invariant holds for `kind`:
+/// true for the granular protocols (sliced, ksegment, asyncn). Sync2 and
+/// Async2 signal on the segment joining the two robots (the unbounded
+/// Async2 drifts apart by design — experiment E8).
+[[nodiscard]] bool has_granular_containment(ProtocolKind kind);
 /// Stable lower-case name for a scheduler kind ("bernoulli", ...).
 [[nodiscard]] const char* scheduler_kind_name(SchedulerKind kind);
 

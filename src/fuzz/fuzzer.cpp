@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <tuple>
 
@@ -16,6 +17,28 @@ namespace {
 /// the delivery and differential oracles compare.
 using DeliverySig =
     std::tuple<std::size_t, std::size_t, std::vector<std::uint8_t>>;
+
+/// Queues `payload` from robot 0: to every robot on a broadcast case, to
+/// robot 1 otherwise. `Net` is a ChatNetwork or a RedundantChatNetwork.
+template <class Net>
+void send_from_robot0(Net& net, const FuzzConfig& cfg,
+                      std::span<const std::uint8_t> payload) {
+  if (cfg.broadcast) {
+    net.broadcast(0, payload);
+  } else {
+    net.send(0, 1, payload);
+  }
+}
+
+/// Appends every delivery `net` has made so far, robot by robot.
+void collect_deliveries(const core::ChatNetwork& net, std::size_t n,
+                        std::vector<DeliverySig>& out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const core::Delivery& d : net.received(i)) {
+      out.emplace_back(i, d.from, d.payload);
+    }
+  }
+}
 
 struct RunOutcome {
   bool constructed = false;  ///< Reached the end without throwing.
@@ -35,12 +58,7 @@ RunOutcome run_one(const FuzzConfig& cfg, core::ProtocolKind kind,
 
   obs::WatchdogOptions wopt;
   wopt.abort_on_violation = true;
-  // Granular containment holds for the granular protocols only: Sync2 and
-  // Async2 signal on the segment joining the two robots (same convention
-  // as stigsim).
-  wopt.check_granular = kind == core::ProtocolKind::sliced ||
-                        kind == core::ProtocolKind::ksegment ||
-                        kind == core::ProtocolKind::asyncn;
+  wopt.check_granular = core::has_granular_containment(kind);
   std::vector<geom::Vec2> positions = scatter(cfg.seed, cfg.n);
   obs::Watchdog watchdog(wopt, positions);
 
@@ -51,11 +69,7 @@ RunOutcome run_one(const FuzzConfig& cfg, core::ProtocolKind kind,
     if (apply_fault && cfg.fault) {
       net.inject_decode_fault(cfg.fault->robot % cfg.n, cfg.fault->nth_bit);
     }
-    if (cfg.broadcast) {
-      net.broadcast(0, cfg.payload);
-    } else {
-      net.send(0, 1, cfg.payload);
-    }
+    send_from_robot0(net, cfg, cfg.payload);
     out.quiescent = net.run_until_quiescent(instant_budget(cfg));
     // Settle: quiescence means the sender finished; a few more instants
     // let every receiver's decode catch up (same tail stigsim runs). A
@@ -63,11 +77,7 @@ RunOutcome run_one(const FuzzConfig& cfg, core::ProtocolKind kind,
     // would let a shrunk budget "pass" on work done past the budget.
     if (out.quiescent) net.run(is_synchronous(kind) ? 4 : 512);
     out.instants = net.engine().now();
-    for (std::size_t i = 0; i < cfg.n; ++i) {
-      for (const core::Delivery& d : net.received(i)) {
-        out.deliveries.emplace_back(i, d.from, d.payload);
-      }
-    }
+    collect_deliveries(net, cfg.n, out.deliveries);
     std::sort(out.deliveries.begin(), out.deliveries.end());
     out.constructed = true;
   } catch (const obs::WatchdogError& e) {
@@ -166,9 +176,7 @@ CaseResult run_case_masked(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
     net.attach_coverage(cov);
     for (std::size_t l = 0; l < g; ++l) {
       obs::WatchdogOptions wopt;
-      wopt.check_granular = cfg.protocol == core::ProtocolKind::sliced ||
-                            cfg.protocol == core::ProtocolKind::ksegment ||
-                            cfg.protocol == core::ProtocolKind::asyncn;
+      wopt.check_granular = core::has_granular_containment(cfg.protocol);
       const fault::FaultPlan& slice = net.injector(l).plan();
       // A burst corrupts decoded bits by design: the framing replay would
       // flag exactly the corruption the CRC is there to absorb. A jitter
@@ -180,11 +188,7 @@ CaseResult run_case_masked(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
       net.attach_lane_sink(l, lane_dogs.back().get());
     }
     net.set_event_sink(&mask_dog);
-    if (cfg.broadcast) {
-      net.broadcast(0, cfg.payload);
-    } else {
-      net.send(0, 1, cfg.payload);
-    }
+    send_from_robot0(net, cfg, cfg.payload);
     const auto res = net.run_until_settled(
         budget, stall_window, is_synchronous(cfg.protocol) ? 4 : 512);
 
@@ -284,9 +288,7 @@ CaseResult run_case_corrupted(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
     core::ChatNetworkOptions opt = to_options(cfg, cfg.protocol);
     opt.record_schedule = &out.log;
     obs::WatchdogOptions wopt;
-    wopt.check_granular = cfg.protocol == core::ProtocolKind::sliced ||
-                          cfg.protocol == core::ProtocolKind::ksegment ||
-                          cfg.protocol == core::ProtocolKind::asyncn;
+    wopt.check_granular = core::has_granular_containment(cfg.protocol);
     // A scrambled parser or cursor legitimately yields CRC-corrupt frames
     // while converging; the replayed-stream framing check would flag
     // exactly the damage the corruption planted.
@@ -301,32 +303,16 @@ CaseResult run_case_corrupted(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
       net.attach_event_sink(&dog);
       net.attach_coverage(cmap);
       if (corrupt) fault::arm_corruptions(net, cfg.fault_plan);
-      if (cfg.broadcast) {
-        net.broadcast(0, cfg.payload);
-      } else {
-        net.send(0, 1, cfg.payload);
-      }
+      send_from_robot0(net, cfg, cfg.payload);
       out.quiescent_a = net.run_until_quiescent(budget);
       if (out.quiescent_a) {
         net.run(settle);
-        for (std::size_t i = 0; i < cfg.n; ++i) {
-          for (const core::Delivery& d : net.received(i)) {
-            out.phase_a.emplace_back(i, d.from, d.payload);
-          }
-        }
-        if (cfg.broadcast) {
-          net.broadcast(0, probe);
-        } else {
-          net.send(0, 1, probe);
-        }
+        collect_deliveries(net, cfg.n, out.phase_a);
+        send_from_robot0(net, cfg, probe);
         out.quiescent_b = net.run_until_quiescent(budget);
         if (out.quiescent_b) net.run(settle);
         std::vector<DeliverySig> all;
-        for (std::size_t i = 0; i < cfg.n; ++i) {
-          for (const core::Delivery& d : net.received(i)) {
-            all.emplace_back(i, d.from, d.payload);
-          }
-        }
+        collect_deliveries(net, cfg.n, all);
         // received() accumulates in arrival order per robot, so phase B is
         // the per-robot suffix: everything not already counted in phase A.
         std::sort(out.phase_a.begin(), out.phase_a.end());

@@ -1,6 +1,6 @@
 // Deterministic per-task seed derivation for parallel batches.
 //
-// Every parallel consumer in the library (stigfuzz --jobs, stigsoak, the
+// Every parallel consumer in the library (stigfuzz --jobs and --budget, the
 // bench batch mode) derives one independent 64-bit seed per case from a
 // root seed and the case index, via the splitmix64 output function. The
 // derivation depends only on (root, index) — never on which worker thread

@@ -12,6 +12,8 @@
 //   stigfuzz --corpus 1,2,3,4,5 --budget 60
 //   stigfuzz --cases 1 --inject framing --out /tmp/repros
 //   stigfuzz --faults --corpus 1,2,3 --out /tmp/repros
+//   stigfuzz --cases 100000000 --seed 9 --budget 1500 --jobs 0 --cov soak
+//            --out soak      # time-boxed soak (the nightly's shape)
 //
 // --jobs N fans cases across a par::BatchRunner pool. Case seeds derive
 // from the master seed by index (par::derive_seed), so the verdicts AND
@@ -27,7 +29,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -96,8 +97,8 @@ void print_help() {
       "                  are identical for every N\n"
       "  --cov DIR       collect protocol/frame/sched/fault coverage and\n"
       "                  write DIR/COV_corpus.json (merged in scheduled\n"
-      "                  seed order — byte-identical at any --jobs); per-\n"
-      "                  seed novelty is printed as cases merge\n"
+      "                  seed order — byte-identical at any --jobs); each\n"
+      "                  seed that adds edges is printed as it merges\n"
       "  --cov-guided    reorder the seed schedule round-robin across\n"
       "                  configuration classes so new coverage edges are\n"
       "                  reached early. Pure reorder: every case still\n"
@@ -194,12 +195,17 @@ int main(int argc, char** argv) {
   // Case seeds: the fixed corpus verbatim, or derived from the master seed
   // by case index (so --seed S --cases N is one reproducible batch, and
   // case i's seed does not depend on how many cases run before it).
+  // Derived seeds are produced a chunk at a time, so a time-boxed soak with
+  // a huge --cases holds memory constant; only --cov-guided, which reorders
+  // the whole schedule up front, materializes them.
   std::vector<std::uint64_t> seeds = args.corpus;
-  if (seeds.empty()) {
+  if (seeds.empty() && args.cov_guided) {
     for (std::size_t i = 0; i < args.cases; ++i) {
       seeds.push_back(par::derive_seed(args.seed, i));
     }
   }
+  const bool derive_lazily = seeds.empty();
+  const std::size_t total = derive_lazily ? args.cases : seeds.size();
   // Static reorder, computed before anything runs: deterministic in the
   // seed set, so replay, repro files and jobs-invariance are untouched.
   if (args.cov_guided) seeds = fuzz::guided_order(seeds);
@@ -229,27 +235,36 @@ int main(int argc, char** argv) {
   std::size_t ran = 0;
   std::size_t failures = 0;
   obs::cov::CovMap corpus_cov;  // Merged in scheduled seed order.
+  std::vector<std::uint64_t> chunk_seeds;
   try {
-    for (std::size_t begin = 0; begin < seeds.size(); begin += chunk) {
+    for (std::size_t begin = 0; begin < total; begin += chunk) {
       if (args.budget_seconds > 0.0 && elapsed() > args.budget_seconds) {
         std::cerr << "time budget reached after " << ran << " case(s)\n";
         break;
       }
-      const std::size_t end = std::min(seeds.size(), begin + chunk);
-      const std::vector<fuzz::BatchCase> batch = fuzz::run_cases(
-          std::span(seeds).subspan(begin, end - begin), fault, args.jobs,
-          args.faults, collect_cov, args.corrupt);
+      const std::size_t end = std::min(total, begin + chunk);
+      chunk_seeds.clear();
+      for (std::size_t i = begin; i < end; ++i) {
+        chunk_seeds.push_back(derive_lazily ? par::derive_seed(args.seed, i)
+                                            : seeds[i]);
+      }
+      const std::vector<fuzz::BatchCase> batch =
+          fuzz::run_cases(chunk_seeds, fault, args.jobs, args.faults,
+                          collect_cov, args.corrupt);
       ran += batch.size();
       for (const fuzz::BatchCase& bc : batch) {
         if (bc.cov != nullptr) {
           // Merge in scheduled order so the corpus map (and the novelty
-          // narrative) never depends on which worker finished first.
+          // narrative) never depends on which worker finished first. Only
+          // a case that adds edges is reported.
           const std::uint64_t before = corpus_cov.distinct_edges();
           corpus_cov.merge_from(*bc.cov);
-          std::cout << "cov: case " << bc.case_seed << " +"
-                    << (corpus_cov.distinct_edges() - before)
-                    << " edge(s) (total " << corpus_cov.distinct_edges()
-                    << ")\n";
+          if (corpus_cov.distinct_edges() > before) {
+            std::cout << "cov: case " << bc.case_seed << " +"
+                      << (corpus_cov.distinct_edges() - before)
+                      << " edge(s) (total " << corpus_cov.distinct_edges()
+                      << ")\n";
+          }
         }
         if (bc.result.kind == fuzz::FailureKind::none) continue;
 

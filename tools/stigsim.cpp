@@ -35,9 +35,9 @@
 #include "encode/bits.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/repro.hpp"
-#include "obs/binary_log.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_sink.hpp"
 #include "obs/sink.hpp"
@@ -323,12 +323,10 @@ int main(int argc, char** argv) {
 
   // Telemetry sinks: all attached through one fan-out point.
   obs::MultiSink sinks;
-  // The event log buffers compact binary records on the hot path
-  // (obs/binary_log.hpp) and renders the byte-identical JSONL only at
-  // export time; the file stream is opened up front so a bad path still
-  // fails before the run starts.
-  std::unique_ptr<obs::BinaryLogSink> event_log;
+  // The event log streams JSONL as the run goes; the file is opened up
+  // front so a bad path fails before the run starts.
   std::unique_ptr<std::ofstream> event_file;
+  std::unique_ptr<obs::JsonlEventSink> event_log;
   std::unique_ptr<obs::ChromeTraceSink> chrome;
   if (!args.events.empty()) {
     event_file = std::make_unique<std::ofstream>(args.events);
@@ -336,7 +334,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: could not open " << args.events << "\n";
       return kExitRuntime;
     }
-    event_log = std::make_unique<obs::BinaryLogSink>();
+    event_log = std::make_unique<obs::JsonlEventSink>(*event_file);
     sinks.add(event_log.get());
   }
   if (!args.chrome_trace.empty()) {
@@ -401,13 +399,8 @@ int main(int argc, char** argv) {
       obs::WatchdogOptions wopt;
       wopt.min_separation = args.min_separation;
       wopt.abort_on_violation = args.watchdog == "abort";
-      // Granular containment is an invariant of the granular protocols
-      // only: Sync2/Async2 signal on the segment joining the two robots
-      // (the unbounded Async2 drifts apart by design — experiment E8).
-      const core::ProtocolKind kind = net.protocol_kind();
-      wopt.check_granular = kind == core::ProtocolKind::sliced ||
-                            kind == core::ProtocolKind::ksegment ||
-                            kind == core::ProtocolKind::asyncn;
+      wopt.check_granular =
+          core::has_granular_containment(net.protocol_kind());
       watchdog = std::make_unique<obs::Watchdog>(wopt, pts);
       if (recorder != nullptr) {
         watchdog->set_flight_recorder(recorder.get(), args.flight_dump);
@@ -436,13 +429,9 @@ int main(int argc, char** argv) {
     const double wall_seconds =
         std::chrono::duration<double>(Clock::now() - wall_start).count();
     sinks.flush();
-    if (event_log != nullptr) {
-      event_log->export_jsonl(*event_file);
-      event_file->flush();
-      if (!*event_file) {
-        std::cerr << "error: could not write " << args.events << "\n";
-        return kExitRuntime;
-      }
+    if (event_file != nullptr && !*event_file) {
+      std::cerr << "error: could not write " << args.events << "\n";
+      return kExitRuntime;
     }
 
     // "--report -" / "--spans -" / "--metrics -" reserve stdout for the
@@ -557,12 +546,8 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     // The black box: whatever unwound (collision, watchdog abort, I/O),
-    // leave the last events on disk for stigreport to inspect. The binary
-    // event log buffers in memory, so export whatever was captured.
-    if (event_log != nullptr && event_file != nullptr) {
-      event_log->export_jsonl(*event_file);
-      event_file->flush();
-    }
+    // leave the last events on disk for stigreport to inspect.
+    if (event_log != nullptr) event_log->flush();
     if (recorder != nullptr && !recorder->dump_to_file(args.flight_dump)) {
       std::cerr << "error: could not write " << args.flight_dump << "\n";
     } else if (recorder != nullptr) {
