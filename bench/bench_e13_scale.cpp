@@ -13,7 +13,8 @@
 // Table B measures end-to-end chat throughput (sliced synchronous
 // protocol, by_ids naming, one 1-byte broadcast) at n in
 // {32, 128, 512, 1024}: instants to quiescence, bits delivered, and
-// machine-dependent bits/sec. n = 4096 is omitted: a full chat swarm
+// machine-dependent bits/sec and microseconds per instant (ungated
+// `chat_per_instant_ns_n<k>`). n = 4096 is omitted: a full chat swarm
 // holds n granulars per robot core (n^2 total), which at 4096 costs
 // multiple GiB before the first instant runs — see EXPERIMENTS.md E13.
 //
@@ -143,7 +144,8 @@ int main() {
   // ---- Table B: end-to-end chat throughput (sliced sync, by_ids).
   std::cout << "chat throughput: 1-byte broadcast, sliced synchronous "
                "protocol, by_ids naming:\n";
-  bench::Table tb({"n", "instants", "bits", "bits/instant", "bits/s"},
+  bench::Table tb({"n", "instants", "bits", "bits/instant", "bits/s",
+                   "us/instant"},
                   report, "chat throughput");
   const std::vector<std::uint8_t> one_byte{0xA5};
   for (std::size_t idx = 0; idx < 4; ++idx) {
@@ -167,14 +169,19 @@ int main() {
         bits += 8 * d.payload.size();
       }
     }
+    // End-to-end cost of one chat instant on the real protocol, beside
+    // Table A's Oscillator engine cost.
+    const double per_instant_ns =
+        1e9 * wall / static_cast<double>(instants);
     tb.row(n, instants, bits,
            static_cast<double>(bits) / static_cast<double>(instants),
-           static_cast<double>(bits) / wall);
+           static_cast<double>(bits) / wall, per_instant_ns / 1000.0);
     const std::string suffix = "_n" + std::to_string(n);
     report.value("chat_instants" + suffix, instants);
     report.value("chat_bits_delivered" + suffix, bits);
     report.value("chat_bits_per_sec" + suffix,
                  static_cast<double>(bits) / wall);
+    report.value("chat_per_instant_ns" + suffix, per_instant_ns);
     if (!done) {
       std::cout << "broadcast did not quiesce at n = " << n << "\n";
       return 1;

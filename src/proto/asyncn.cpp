@@ -30,6 +30,7 @@ void AsyncNRobot::initialize(const sim::Snapshot& snap) {
   peer_state_.assign(core_.robot_count(), 0);
   peer_idle_.assign(core_.robot_count(), 0);
   phase_ = Phase::idle;
+  size_stream_cache();
 }
 
 double AsyncNRobot::step_size() const {

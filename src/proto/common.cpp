@@ -225,10 +225,24 @@ void ChatRobot::on_bit_decoded(std::size_t sender_slot,
     e.bit = bit;
     emit(e);
   }
-  const auto [parser_it, parser_created] =
-      parsers_.try_emplace({sender_slot, addressee_slot});
-  encode::FrameParser& parser = parser_it->second;
-  if (parser_created && cov_ != nullptr) parser.set_coverage(cov_);
+  // A sender keeps one addressee for a whole frame, so its cached stream
+  // almost always matches; the map is searched only on a switch.
+  assert(stream_cache_ == nullptr || sender_slot < slot_count());
+  StreamRef* const cached =
+      stream_cache_ != nullptr ? &stream_cache_[sender_slot] : nullptr;
+  encode::FrameParser* stream =
+      cached != nullptr && cached->parser != nullptr &&
+              cached->addressee == addressee_slot
+          ? cached->parser
+          : nullptr;
+  if (stream == nullptr) {
+    const auto [parser_it, parser_created] =
+        parsers_.try_emplace({sender_slot, addressee_slot});
+    stream = &parser_it->second;
+    if (parser_created && cov_ != nullptr) stream->set_coverage(cov_);
+    if (cached != nullptr) *cached = StreamRef{addressee_slot, stream};
+  }
+  encode::FrameParser& parser = *stream;
   parser.push_bit(bit);
   for (auto& payload : parser.take_messages()) {
     ReceivedMessage msg;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -41,6 +42,8 @@ struct ChatStats {
   std::uint64_t messages_sent = 0;     ///< Frames fully transmitted.
   std::uint64_t messages_received = 0; ///< Frames addressed to this robot.
   std::uint64_t messages_overheard = 0;///< Frames addressed to others.
+
+  friend bool operator==(const ChatStats&, const ChatStats&) = default;
 };
 
 /// Which mutable state machine ChatRobot::corrupt_state scrambles. Kept at
@@ -203,6 +206,19 @@ class ChatRobot : public sim::Robot {
   void on_bit_decoded(std::size_t sender_slot, std::size_t addressee_slot,
                       std::uint8_t bit);
 
+  /// Gives swarms of sim::kMovedPeersMinRobots or more a per-sender
+  /// stream cache (one entry per slot), so that `on_bit_decoded` finds a
+  /// sender's current stream without a map lookup; smaller swarms keep no
+  /// cache and look each decoded bit's stream up. Drivers call it from
+  /// `initialize`, once slot_count() is known.
+  void size_stream_cache() {
+    if (slot_count() >= sim::kMovedPeersMinRobots) {
+      stream_cache_ = std::make_unique<StreamRef[]>(slot_count());
+    } else {
+      stream_cache_.reset();
+    }
+  }
+
   /// Drops partial frames on every stream originating at `sender_slot`.
   /// Protocols call this when they determine the sender is at a frame
   /// boundary (e.g. it has been silent for several instants — a correct
@@ -261,8 +277,18 @@ class ChatRobot : public sim::Robot {
   /// memoized in a small literal-pointer cache. Requires cov_ != nullptr.
   [[nodiscard]] obs::cov::StateId cov_phase_id(const char* phase);
 
+  /// A sender's most recent stream: its addressee and parser. Map nodes
+  /// are stable and never erased, so the pointer stays valid.
+  struct StreamRef {
+    std::size_t addressee = 0;
+    encode::FrameParser* parser = nullptr;
+  };
+
   std::map<std::pair<std::size_t, std::size_t>, encode::FrameParser>
       parsers_;
+  /// Per sender slot, its StreamRef; null unless size_stream_cache ran
+  /// (one pointer, so small swarms' robots grow by 8 B only).
+  std::unique_ptr<StreamRef[]> stream_cache_;
   std::vector<ReceivedMessage> inbox_;
   std::vector<ReceivedMessage> overheard_;
 

@@ -17,6 +17,7 @@ void KSegmentRobot::initialize(const sim::Snapshot& snap) {
   digits_ = encode::digits_needed(snap.robots.size(), options_.k);
   decode_.clear();
   decode_.resize(snap.robots.size());
+  size_stream_cache();
 }
 
 geom::Vec2 KSegmentRobot::on_activate(const sim::Snapshot& snap) {

@@ -170,7 +170,8 @@ std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
 }
 
 void SlicedCore::associate_into(const sim::Snapshot& snap,
-                                std::vector<geom::Vec2>& out) const {
+                                std::vector<geom::Vec2>& out,
+                                const geom::Vec2& shift) const {
   assert(snap.robots.size() == n_);
   out.assign(n_, geom::Vec2{});
   std::vector<bool>& filled = assoc_filled_;
@@ -179,13 +180,14 @@ void SlicedCore::associate_into(const sim::Snapshot& snap,
   const auto prev = [this](std::size_t k) -> std::size_t {
     return k < n_ ? assoc_prev_[k] : n_;
   };
-  const auto deep_inside = [&](std::size_t h, const geom::Vec2& p) {
-    if (h >= n_ || filled[h]) return false;
-    return geom::dist2(p, sites_[h].center) < sites_[h].hint_r2;
+  const auto free_and_deep = [&](std::size_t h, const geom::Vec2& p) {
+    return h < n_ && !filled[h] && deep_inside(h, p);
   };
+  const bool shifted = shift != geom::Vec2{0.0, 0.0};
   std::size_t left = n_;  // Previous owner of slot k - 1.
   for (std::size_t k = 0; k < snap.robots.size(); ++k) {
-    const geom::Vec2& p = snap.robots[k].position;
+    const geom::Vec2 p = shifted ? snap.robots[k].position - shift
+                                 : snap.robots[k].position;
     // Nearest granular center; robots never leave their granulars, and
     // granular interiors are pairwise disjoint, so this is unambiguous.
     // Most robots sit in the slot they held last activation, or one slot
@@ -195,11 +197,11 @@ void SlicedCore::associate_into(const sim::Snapshot& snap,
     const std::size_t here = prev(k);
     const std::size_t right = prev(k + 1);
     std::size_t best;
-    if (deep_inside(here, p)) {
+    if (free_and_deep(here, p)) {
       best = here;
-    } else if (deep_inside(left, p)) {
+    } else if (free_and_deep(left, p)) {
       best = left;
-    } else if (deep_inside(right, p)) {
+    } else if (free_and_deep(right, p)) {
       best = right;
     } else {
       best = nearest_center(p);

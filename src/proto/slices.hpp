@@ -110,9 +110,17 @@ class SlicedCore {
   /// `associate` into caller-owned storage (resized to robot_count();
   /// capacity reused). The per-activation hot path of the sliced drivers
   /// calls this with a driver-owned scratch vector so slice assembly
-  /// allocates nothing in steady state.
-  void associate_into(const sim::Snapshot& snap,
-                      std::vector<geom::Vec2>& out) const;
+  /// allocates nothing in steady state. Every observed point is first
+  /// shifted by `-shift` (the flocking drift; zero leaves it exact).
+  void associate_into(const sim::Snapshot& snap, std::vector<geom::Vec2>& out,
+                      const geom::Vec2& shift = {0.0, 0.0}) const;
+
+  /// True when `p` lies strictly inside kHintFraction of granular `h`'s
+  /// radius: deep enough that `h` is exactly its nearest center, so the
+  /// association of any configuration assigns `p` to `h`.
+  [[nodiscard]] bool deep_inside(std::size_t h, const geom::Vec2& p) const {
+    return geom::dist2(p, sites_[h].center) < sites_[h].hint_r2;
+  }
 
   /// Classifies robot `i`'s current position against its granular slicing.
   /// Returns nullopt when the robot is at (indistinguishable from) its

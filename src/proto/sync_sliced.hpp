@@ -16,6 +16,8 @@
 // decoding, so the swarm travels while chatting.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "proto/common.hpp"
@@ -37,10 +39,26 @@ struct SyncSlicedOptions {
   geom::Vec2 flock_velocity{0.0, 0.0};
 };
 
+/// How often each path of SyncSlicedRobot's per-peer pass ran: the
+/// moved-peer pass, or the full pass and why.
+struct SlicedPassCounts {
+  std::uint64_t moved = 0;       ///< Moved-peer pass.
+  std::uint64_t no_list = 0;     ///< Full: the snapshot carried no list.
+  std::uint64_t armed = 0;       ///< Full: stabilization is armed.
+  std::uint64_t flocking = 0;    ///< Full: flocking shifts every robot.
+  std::uint64_t incoherent = 0;  ///< Full: a point was not deep inside
+                                 ///< its own granular before this
+                                 ///< activation's updates (or no pass
+                                 ///< has recorded the points yet).
+  std::uint64_t not_deep = 0;    ///< Full: a listed point (or this
+                                 ///< robot's own) is not deep inside
+                                 ///< its own granular.
+};
+
 class SyncSlicedRobot final : public ChatRobot {
  public:
-  explicit SyncSlicedRobot(SyncSlicedOptions options)
-      : options_(options) {}
+  explicit SyncSlicedRobot(SyncSlicedOptions options);
+  ~SyncSlicedRobot() override;
 
   void initialize(const sim::Snapshot& snap) override;
   geom::Vec2 on_activate(const sim::Snapshot& snap) override;
@@ -59,6 +77,10 @@ class SyncSlicedRobot final : public ChatRobot {
 
   [[nodiscard]] const SlicedCore& core() const noexcept { return core_; }
 
+  /// Which per-peer pass each activation took; all zero below
+  /// sim::kMovedPeersMinRobots, where no moved-peer lists exist.
+  [[nodiscard]] SlicedPassCounts pass_counts() const;
+
  protected:
   void corrupt_protocol_state(CorruptKind kind,
                               std::uint64_t garbage) override;
@@ -71,6 +93,17 @@ class SyncSlicedRobot final : public ChatRobot {
     return options_.flock_velocity.norm();
   }
 
+  struct MovedPass;
+
+  /// The per-peer decode pass over exactly the peers `snap.moved` lists,
+  /// plus those whose resync counters still tick. Returns false, having
+  /// decoded nothing, when it cannot match the full pass exactly.
+  bool decode_moved(const sim::Snapshot& snap);
+  /// The full pass over every peer: associate, classify, decode.
+  void decode_all(const sim::Snapshot& snap, const geom::Vec2& drift);
+  /// One peer's decode and resync step, shared by both passes.
+  void update_peer(std::size_t j, const std::optional<Signal>& signal);
+
   SyncSlicedOptions options_;
   SlicedCore core_;
   std::uint64_t step_ = 0;          ///< Own activation count (== global t in
@@ -80,10 +113,12 @@ class SyncSlicedRobot final : public ChatRobot {
   std::vector<std::uint8_t> peer_idle_;  ///< Consecutive at-center
                                          ///< observations, for stream
                                          ///< resynchronization.
-  /// Per-activation scratch (associated positions; drift-shifted snapshot
-  /// when flocking): reused so slice assembly allocates nothing.
+  /// Associated positions, reused so slice assembly allocates nothing.
+  /// Between activations it holds every robot's last observed point,
+  /// which the moved-peer pass updates in place.
   std::vector<geom::Vec2> pos_scratch_;
-  sim::Snapshot snap_scratch_;
+  /// Moved-peer pass state; null below sim::kMovedPeersMinRobots.
+  std::unique_ptr<MovedPass> moved_;
 };
 
 }  // namespace stig::proto

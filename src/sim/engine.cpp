@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -20,6 +21,15 @@ constexpr std::size_t kGridThreshold = 128;
 /// and the grid's squared-distance prefilter; every candidate is re-checked
 /// with the exact legacy predicate.
 double collision_radius2(double cd) { return cd * cd * 1.00001; }
+
+/// `p` snapped to a sensor grid of pitch `q` (identity for q <= 0): what an
+/// observer sees of another robot at global `p`, before its frame. The
+/// snapshot and the moved-peer list both go through here, so they agree
+/// bit for bit.
+geom::Vec2 quantize(const geom::Vec2& p, double q) {
+  if (q <= 0.0) return p;
+  return geom::Vec2{std::round(p.x / q) * q, std::round(p.y / q) * q};
+}
 
 }  // namespace
 
@@ -101,10 +111,87 @@ Engine::Engine(std::vector<RobotSpec> specs,
     for (std::vector<std::uint32_t>& row : prev_order_) row.reserve(n);
   }
 
-  // Paper Section 4.2: every robot knows P(t0) — wake all at t0 once.
-  for (std::size_t i = 0; i < programs_.size(); ++i) {
-    programs_[i]->initialize(make_snapshot_at(i, p0, p0, 0));
+  if (n >= kMovedPeersMinRobots && options_.visibility_radius <= 0.0) {
+    moved_ = std::make_unique<MovedIndex>();
+    MovedIndex& m = *moved_;
+    m.version.assign(n, 0);
+    m.log.reserve(2 * n);
+    m.seen.assign(n, 0);
+    m.slot_bits.assign((n + 63) / 64, 0);
+    m.slot_pos.resize(n);
+    m.view = MovedPeers(m.slot_bits.data(), m.slot_bits.size(),
+                        m.slot_pos.data());
+    if (identified_) {
+      m.t0_slot.resize(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        m.t0_slot[id_order_[k]] = static_cast<std::uint32_t>(k);
+      }
+    } else {
+      m.t0_slot.resize(n * n);
+    }
   }
+
+  // Paper Section 4.2: every robot knows P(t0) — wake all at t0 once.
+  // Anonymous systems with moved-peer lists read each observer's t0 slots
+  // off the order row of the very snapshot `initialize` receives.
+  std::vector<std::uint32_t> t0_row;
+  std::vector<SnapshotEntry> t0_entries;
+  for (std::size_t i = 0; i < programs_.size(); ++i) {
+    if (moved_ == nullptr || identified_) {
+      programs_[i]->initialize(make_snapshot_at(i, p0, p0, 0));
+      continue;
+    }
+    Snapshot snap;
+    t0_row.clear();  // Cold build: it fills the row in snapshot order.
+    build_observation(i, p0, p0, 0, t0_entries, snap, &t0_row);
+    std::uint32_t* const slots = moved_->t0_slot.data() + i * n;
+    for (std::size_t k = 0; k < n; ++k) {
+      slots[t0_row[k]] = static_cast<std::uint32_t>(k);
+    }
+    programs_[i]->initialize(snap);
+  }
+}
+
+void Engine::note_change(std::uint32_t j, Time e) {
+  MovedIndex& m = *moved_;
+  if (m.version[j] == e + 1) return;
+  if (m.log.size() == m.log.capacity()) {
+    // Keep each robot's latest change only: at most n records, so the
+    // reserved 2n always leave room for a whole instant's changes.
+    std::erase_if(m.log, [&m](const MovedIndex::Change& c) {
+      return c.version != m.version[c.robot];
+    });
+  }
+  m.version[j] = e + 1;
+  m.log.push_back(MovedIndex::Change{e + 1, j});
+}
+
+void Engine::build_moved(RobotIndex i, std::span<const geom::Vec2> stale,
+                         Time stale_e, Snapshot& out) {
+  MovedIndex& m = *moved_;
+  const Time seen = m.seen[i];
+  m.seen[i] = stale_e + 1;
+  // Every robot whose version is newer than what this observer saw last:
+  // its newest log record is the one carrying its version. A change after
+  // `stale_e` (a delayed observer) lists it early, which the superset
+  // contract allows.
+  std::size_t k = m.log.size();
+  while (k > 0 && m.log[k - 1].version > seen) --k;
+  const double q = options_.observation_quantum;
+  const Frame& f = frames_[i];
+  const std::uint32_t* const slots =
+      m.t0_slot.data() + (identified_ ? 0 : i * specs_.size());
+  std::uint64_t* const bits = m.slot_bits.data();
+  geom::Vec2* const pos = m.slot_pos.data();
+  std::fill(m.slot_bits.begin(), m.slot_bits.end(), 0);
+  for (; k < m.log.size(); ++k) {
+    const MovedIndex::Change c = m.log[k];
+    if (c.robot == i || c.version != m.version[c.robot]) continue;
+    const std::uint32_t s = slots[c.robot];
+    bits[s >> 6] |= std::uint64_t{1} << (s & 63);
+    pos[s] = f.to_local(quantize(stale[c.robot], q));
+  }
+  out.moved = &m.view;
 }
 
 Snapshot Engine::make_snapshot(RobotIndex i) const {
@@ -120,6 +207,10 @@ Snapshot Engine::make_snapshot(RobotIndex i) const {
 void Engine::teleport(RobotIndex i, const geom::Vec2& global_position) {
   std::vector<geom::Vec2>& cur = ring_[slot(t_)];
   cur.at(i) = global_position;
+  // Every observation of the current epoch is still to come (the t0
+  // snapshot counts as seen before any shove), so a new version lists the
+  // shove to each of them.
+  if (moved_ != nullptr) note_change(static_cast<std::uint32_t>(i), t_);
   if (sink_ != nullptr) {
     obs::Event e;
     e.type = obs::EventType::Teleport;
@@ -210,14 +301,10 @@ void Engine::build_observation(RobotIndex i,
                                std::vector<std::uint32_t>* order) const {
   const Frame& f = frames_.at(i);
   const double q = options_.observation_quantum;
-  const auto quantize = [q](const geom::Vec2& p) {
-    if (q <= 0.0) return p;
-    return geom::Vec2{std::round(p.x / q) * q, std::round(p.y / q) * q};
-  };
   // Self: current and exact (odometry). Others: possibly stale (CORDA-ish
   // delay) and quantized (sensor resolution).
   const auto observed = [&](std::size_t j) {
-    return f.to_local(j == i ? config[j] : quantize(stale_config[j]));
+    return f.to_local(j == i ? config[j] : quantize(stale_config[j], q));
   };
   const std::size_t n = config.size();
   out.t = t;
@@ -398,8 +485,8 @@ void Engine::step_impl() {
   const Time d = options_.observation_delay;
   std::vector<geom::Vec2>& before_v = ring_[slot(t_)];
   const std::span<const geom::Vec2> before{before_v};
-  const std::span<const geom::Vec2> stale{
-      ring_[slot(t_ >= d ? t_ - d : 0)]};
+  const Time stale_e = t_ >= d ? t_ - d : 0;
+  const std::span<const geom::Vec2> stale{ring_[slot(stale_e)]};
   std::vector<geom::Vec2>& after = ring_[slot(t_ + 1)];
   after.assign(before_v.begin(), before_v.end());
   // Phase 1: all active robots observe `before` and commit to destinations;
@@ -410,6 +497,7 @@ void Engine::step_impl() {
       obs::prof::Scope s(prof_, ph_observe_);
       build_observation(i, before, stale, t_, entry_scratch_, snap_scratch_,
                         identified_ ? nullptr : &prev_order_[i]);
+      if (moved_ != nullptr) build_moved(i, stale, stale_e, snap_scratch_);
     }
     geom::Vec2 local_target;
     {
@@ -457,6 +545,19 @@ void Engine::step_impl() {
                                  std::to_string(t_));
           }
         }
+      }
+    }
+  }
+  // Version every committed change, moves and displacements alike.
+  // Bitwise: equal bits observe identically, so an unversioned robot is
+  // observed exactly as before (-0.0 vs +0.0 or a new NaN payload counts).
+  if (moved_ != nullptr) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (std::bit_cast<std::uint64_t>(after[j].x) !=
+              std::bit_cast<std::uint64_t>(before[j].x) ||
+          std::bit_cast<std::uint64_t>(after[j].y) !=
+              std::bit_cast<std::uint64_t>(before[j].y)) {
+        note_change(static_cast<std::uint32_t>(j), t_ + 1);
       }
     }
   }

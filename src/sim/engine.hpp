@@ -275,6 +275,46 @@ class Engine {
                          std::vector<SnapshotEntry>& entries, Snapshot& out,
                          std::vector<std::uint32_t>* order = nullptr) const;
 
+  /// Moved-peer bookkeeping (see Snapshot::moved); allocated at
+  /// construction only for swarms of kMovedPeersMinRobots or more without
+  /// a visibility radius, sized there so steady state allocates nothing.
+  struct MovedIndex {
+    /// One committed position change: robot `robot` got version `version`.
+    struct Change {
+      Time version;
+      std::uint32_t robot;
+    };
+    /// Per robot, its position's version: 1 + the latest epoch at which it
+    /// differs bitwise from the epoch before (or was shoved in place), 0
+    /// while unchanged since t0.
+    std::vector<Time> version;
+    /// Changes in version order, at most 2n: compacted to each robot's
+    /// latest change (so at most n) before it can overflow.
+    std::vector<Change> log;
+    /// Per observer, 1 + the stale epoch of its latest observation; 0 for
+    /// the t0 snapshot `initialize` received, which no shove had touched
+    /// yet. Robot j is listed for observer i iff version[j] > seen[i].
+    std::vector<Time> seen;
+    /// t0 slot of robot j for observer i: row i of an n x n table in
+    /// anonymous systems, one shared row in identified ones (every
+    /// observer's t0 snapshot is in id order).
+    std::vector<std::uint32_t> t0_slot;
+    /// Per-activation scratch behind `view`: a bitmap of listed slots and
+    /// each listed slot's observed position.
+    std::vector<std::uint64_t> slot_bits;
+    std::vector<geom::Vec2> slot_pos;
+    MovedPeers view;
+  };
+
+  /// Records that robot `j`'s position at epoch `e` differs from epoch
+  /// e - 1, or was shoved in place (no-op when already recorded).
+  void note_change(std::uint32_t j, Time e);
+
+  /// Lists the moved peers of observer `i` reading `stale_config` (epoch
+  /// `stale_e`) and points `out.moved` at them.
+  void build_moved(RobotIndex i, std::span<const geom::Vec2> stale_config,
+                   Time stale_e, Snapshot& out);
+
   /// Throws CollisionError for the lexicographically first colliding pair
   /// in `config` (same pair the all-pairs scan reports); grid-accelerated
   /// for large n, brute below the threshold.
@@ -308,6 +348,7 @@ class Engine {
   /// recycled in place; a fault-free steady-state instant copies the
   /// configuration exactly once (current slot -> next slot).
   std::vector<std::vector<geom::Vec2>> ring_;
+  std::unique_ptr<MovedIndex> moved_;  ///< Null when lists are off.
   std::vector<SnapshotEntry> entry_scratch_;
   Snapshot snap_scratch_;
   ActivationSet active_scratch_;

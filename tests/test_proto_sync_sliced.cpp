@@ -3,10 +3,18 @@
 // granulars, silence, flocking, and randomized property sweeps.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <sstream>
+
 #include "core/chat_network.hpp"
 #include "encode/bits.hpp"
+#include "fault/injector.hpp"
 #include "geom/angle.hpp"
 #include "geom/voronoi.hpp"
+#include "obs/cov.hpp"
+#include "obs/jsonl_sink.hpp"
 #include "proto/sync_sliced.hpp"
 #include "sim/rng.hpp"
 
@@ -199,6 +207,320 @@ TEST(SyncSliced, WorksAtScale) {
   net.run(4);
   ASSERT_EQ(net.received(n - 1).size(), 1u);
   ASSERT_EQ(net.received(1).size(), 1u);
+}
+
+/// Hands every engine snapshot to two SyncSlicedRobots: `primary` gets it
+/// as the engine built it, moved-peer list included; `shadow` gets a copy
+/// with the list removed, so it always takes the full per-peer pass. The
+/// primary drives the engine. After each activation every observable
+/// output of the pair must agree; the first disagreement is kept.
+class TeeRobot final : public sim::Robot {
+ public:
+  TeeRobot(const proto::SyncSlicedOptions& o, std::string* failure)
+      : primary(o), shadow(o), failure_(failure) {}
+
+  void initialize(const sim::Snapshot& snap) override {
+    primary.initialize(snap);
+    shadow.initialize(snap);
+  }
+
+  geom::Vec2 on_activate(const sim::Snapshot& snap) override {
+    sim::Snapshot bare = snap;
+    bare.moved = nullptr;
+    const geom::Vec2 a = primary.on_activate(snap);
+    const geom::Vec2 b = shadow.on_activate(bare);
+    const std::string at = " at t=" + std::to_string(snap.t) + " robot " +
+                           std::to_string(index_);
+    if (std::bit_cast<std::uint64_t>(a.x) !=
+            std::bit_cast<std::uint64_t>(b.x) ||
+        std::bit_cast<std::uint64_t>(a.y) !=
+            std::bit_cast<std::uint64_t>(b.y)) {
+      fail("target" + at);
+    }
+    const auto same = [](const std::vector<proto::ReceivedMessage>& x,
+                         const std::vector<proto::ReceivedMessage>& y) {
+      if (x.size() != y.size()) return false;
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        if (x[k].sender != y[k].sender || x[k].addressee != y[k].addressee ||
+            x[k].broadcast != y[k].broadcast ||
+            x[k].payload != y[k].payload) {
+          return false;
+        }
+      }
+      return true;
+    };
+    const auto inbox = primary.take_inbox();
+    delivered += inbox.size();
+    if (!same(inbox, shadow.take_inbox())) fail("inbox" + at);
+    if (!same(primary.take_overheard(), shadow.take_overheard())) {
+      fail("overheard" + at);
+    }
+    if (!(primary.stats() == shadow.stats())) fail("stats" + at);
+    if (primary_events.str() != shadow_events.str()) fail("events" + at);
+    primary_events.str("");
+    shadow_events.str("");
+    if (primary_cov->total_hits() != shadow_cov->total_hits() ||
+        primary_cov->distinct_edges() != shadow_cov->distinct_edges()) {
+      fail("coverage" + at);
+    }
+    return a;
+  }
+
+  /// Wires telemetry and coverage; `index` is the robot's engine index.
+  void attach(std::size_t index, obs::cov::CovMap* pcov,
+              obs::cov::CovMap* scov) {
+    index_ = index;
+    primary_cov = pcov;
+    shadow_cov = scov;
+    primary.set_telemetry(&primary_sink, index, nullptr);
+    shadow.set_telemetry(&shadow_sink, index, nullptr);
+    primary.set_coverage(pcov, "sliced");
+    shadow.set_coverage(scov, "sliced");
+  }
+
+  proto::SyncSlicedRobot primary;
+  proto::SyncSlicedRobot shadow;
+  std::size_t delivered = 0;
+
+ private:
+  void fail(const std::string& what) {
+    if (failure_->empty()) *failure_ = what;
+  }
+
+  std::string* failure_;
+  std::size_t index_ = 0;
+  std::ostringstream primary_events;
+  std::ostringstream shadow_events;
+  obs::JsonlEventSink primary_sink{primary_events};
+  obs::JsonlEventSink shadow_sink{shadow_events};
+  obs::cov::CovMap* primary_cov = nullptr;
+  obs::cov::CovMap* shadow_cov = nullptr;
+};
+
+TEST(SyncSliced, MovedPeerPassMatchesFullPass) {
+  // The moved-peer pass (only listed peers, plus the due resync queue)
+  // against the full pass over every peer, robot by robot, over the
+  // configurations where exactness is delicate: sizes on both sides of a
+  // 64-slot bitmap word, all three namings, sensor quantization with
+  // robots parked on the grid, observation delay, flocking, crash / stall
+  // / jitter faults, teleports (one swapping two robots into each other's
+  // granulars), every corruption target and decode faults.
+  using proto::NamingMode;
+  struct Case {
+    std::size_t n;
+    NamingMode naming;
+    double quantum = 0.0;
+    sim::Time delay = 0;
+    bool flocking = false;
+    bool faults = false;
+    bool teleport = false;
+    bool corrupt = false;
+    bool decode_fault = false;
+    double visibility = 0.0;  ///< Positive: the engine makes no lists.
+  };
+  const NamingMode lex = NamingMode::lexicographic;
+  const NamingMode rel = NamingMode::relative;
+  const NamingMode ids = NamingMode::by_ids;
+  const std::vector<Case> cases = {
+      {64, lex}, {65, rel}, {200, ids}, {200, rel}, {200, lex},
+      {64, lex, 1e-3}, {65, rel, 0.0, 1}, {64, ids, 0.0, 2},
+      {64, rel, 0.0, 0, true},
+      {65, rel, 0.0, 0, false, true}, {200, lex, 0.0, 0, false, true},
+      {64, rel, 0.0, 0, false, false, true},
+      {200, ids, 0.0, 0, false, false, true},
+      {64, lex, 0.0, 0, false, false, false, true},
+      {65, rel, 0.0, 0, false, false, false, true},
+      {64, rel, 0.0, 0, false, false, false, false, true},
+      {200, lex, 0.0, 1, false, true, false, false, true},
+      {64, rel, 0.0, 0, false, false, false, false, false, 1e9}};
+  proto::SlicedPassCounts total;
+  std::uint64_t seed = 0;
+  for (const Case& c : cases) {
+    ++seed;
+    const std::size_t n = c.n;
+    const bool parked = c.quantum > 0.0;
+    std::string where = "n=" + std::to_string(n) + " naming=" +
+                        std::to_string(static_cast<int>(c.naming)) +
+                        " q=" + std::to_string(c.quantum) +
+                        " delay=" + std::to_string(c.delay) +
+                        (c.flocking ? " flocking" : "") +
+                        (c.faults ? " faults" : "") +
+                        (c.teleport ? " teleport" : "") +
+                        (c.corrupt ? " corrupt" : "") +
+                        (c.decode_fault ? " decode_fault" : "") +
+                        (c.visibility > 0.0 ? " visibility" : "");
+    // A jittered spacing-3 grid; parked robots sit exactly on the
+    // quantization grid, in identity frames, so quantization is exact at
+    // rest and only signals are snapped.
+    sim::Rng rng(1000 + seed);
+    const std::size_t side = static_cast<std::size_t>(
+        std::ceil(std::sqrt(static_cast<double>(n))));
+    const double sigma = 0.25;
+    const geom::Vec2 flock{0.01, 0.004};
+    std::vector<sim::RobotSpec> specs;
+    std::vector<proto::SyncSlicedOptions> options;
+    for (std::size_t i = 0; i < n; ++i) {
+      sim::RobotSpec s;
+      s.position = geom::Vec2{
+          static_cast<double>(i % side) * 3.0 + rng.uniform(-0.5, 0.5),
+          static_cast<double>(i / side) * 3.0 + rng.uniform(-0.5, 0.5)};
+      if (parked) {
+        s.position = geom::Vec2{std::round(s.position.x / c.quantum) *
+                                    c.quantum,
+                                std::round(s.position.y / c.quantum) *
+                                    c.quantum};
+      } else {
+        s.frame_unit = rng.uniform(0.5, 2.0);
+        if (c.naming == rel) s.frame_rotation = rng.uniform(0.0, 6.28);
+      }
+      if (c.naming == ids) s.id = static_cast<sim::VisibleId>(1000 + 7 * i);
+      s.sigma = sigma;
+      specs.push_back(s);
+      proto::SyncSlicedOptions o;
+      o.naming = c.naming;
+      o.sigma_local = sigma / s.frame_unit;
+      if (c.flocking) {
+        o.flock_velocity =
+            sim::Frame(geom::Vec2{0, 0}, s.frame_rotation, s.frame_unit,
+                       s.frame_mirrored)
+                .to_local(flock);
+      }
+      options.push_back(o);
+    }
+    std::string failure;
+    std::vector<TeeRobot*> tees;
+    std::vector<std::unique_ptr<sim::Robot>> programs;
+    for (std::size_t i = 0; i < n; ++i) {
+      auto tee = std::make_unique<TeeRobot>(options[i], &failure);
+      tees.push_back(tee.get());
+      programs.push_back(std::move(tee));
+    }
+    sim::EngineOptions eopt;
+    eopt.observation_quantum = c.quantum;
+    eopt.observation_delay = c.delay;
+    eopt.visibility_radius = c.visibility;
+    eopt.check_collisions = false;
+    sim::Engine engine(specs, std::move(programs),
+                       std::make_unique<sim::SynchronousScheduler>(), eopt);
+    auto primary_cov = std::make_unique<obs::cov::CovMap>();
+    auto shadow_cov = std::make_unique<obs::cov::CovMap>();
+    for (std::size_t i = 0; i < n; ++i) {
+      tees[i]->attach(i, primary_cov.get(), shadow_cov.get());
+    }
+    const auto both = [&](std::size_t i, const auto& f) {
+      f(tees[i]->primary);
+      f(tees[i]->shadow);
+    };
+
+    // Twelve concurrent 2-byte unicasts and one broadcast.
+    std::vector<std::size_t> senders;
+    for (std::size_t k = 0; k < 13; ++k) senders.push_back((k * 37 + 5) % n);
+    for (std::size_t k = 0; k < 12; ++k) {
+      const std::size_t from = senders[k];
+      const std::size_t self_slot = tees[from]->primary.self_slot();
+      const std::size_t to = (self_slot + 1 + rng.uniform_int(0, n - 2)) % n;
+      const auto payload = random_payload(2, seed * 100 + k);
+      both(from, [&](proto::SyncSlicedRobot& r) {
+        r.send_message(to, payload);
+      });
+    }
+    const auto shout = random_payload(1, seed);
+    both(senders[12],
+         [&](proto::SyncSlicedRobot& r) { r.send_broadcast(shout); });
+    if (c.decode_fault) {
+      for (std::size_t i = 0; i < n; i += 7) {
+        both(i, [&](proto::SyncSlicedRobot& r) {
+          r.inject_decode_fault(3 + i % 11, 1 + i % 3);
+        });
+      }
+    }
+
+    fault::FaultPlan plan;
+    std::size_t swap_a = 0;
+    std::size_t swap_b = 1;
+    if (c.faults) {
+      plan.crashes.push_back({senders[0], 21});
+      plan.stalls.push_back({senders[1], 10, 2});
+      plan.stalls.push_back({senders[2], 13, 3});
+      plan.stalls.push_back({senders[3], 16, 4});
+      plan.stalls.push_back({senders[4], 31, 3});
+      plan.jitters.push_back({senders[5], 25, 100, -60});
+      plan.jitters.push_back({7, 40, -30, 90});
+    }
+    if (c.teleport) {
+      // The mutually nearest pair: each lands deep inside the other's
+      // granular, and both crash there, so the swap persists.
+      double best = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+          const double d = geom::dist(specs[i].position, specs[j].position);
+          if (d < best) {
+            best = d;
+            swap_a = i;
+            swap_b = j;
+          }
+        }
+      }
+      plan.crashes.push_back({swap_a, 30});
+      plan.crashes.push_back({swap_b, 30});
+    }
+    fault::FaultInjector injector(plan);
+    if (!plan.empty()) engine.set_step_interceptor(&injector);
+
+    for (sim::Time t = 0; t < 150; ++t) {
+      if (c.teleport && t == 30) {
+        const geom::Vec2 a = specs[swap_a].position;
+        const geom::Vec2 b = specs[swap_b].position;
+        const geom::Vec2 u = (b - a) * (0.15 / geom::dist(a, b));
+        const geom::Vec2 perp{-u.y, u.x};
+        engine.teleport(swap_a, b + perp);
+        engine.teleport(swap_b, a - perp);
+      }
+      if (c.teleport && t == 45) {
+        // A small shove that stays deep inside the robot's own granular.
+        const std::size_t r = (swap_a + 3) % n;
+        engine.teleport(r, engine.positions()[r] + geom::Vec2{0.2, -0.1});
+      }
+      if (c.corrupt && t == 20) {
+        for (std::size_t i = 0; i < n; ++i) {
+          both(i, [](proto::SyncSlicedRobot& r) { r.arm_stabilization(); });
+        }
+        const proto::CorruptKind kinds[] = {
+            proto::CorruptKind::phase, proto::CorruptKind::cursor,
+            proto::CorruptKind::parser, proto::CorruptKind::naming};
+        for (std::size_t k = 0; k < 4; ++k) {
+          const std::uint64_t garbage = 0x9E3779B97F4A7C15ULL * (k + seed);
+          both(senders[k], [&](proto::SyncSlicedRobot& r) {
+            r.corrupt_state(kinds[k], garbage);
+          });
+        }
+      }
+      engine.step();
+      if (!failure.empty()) break;
+    }
+    EXPECT_EQ(failure, "") << where;
+    EXPECT_EQ(primary_cov->render_json("x"), shadow_cov->render_json("x"))
+        << where;
+    std::size_t delivered = 0;
+    for (const TeeRobot* tee : tees) {
+      delivered += tee->delivered;
+      const proto::SlicedPassCounts p = tee->primary.pass_counts();
+      total.moved += p.moved;
+      total.no_list += p.no_list;
+      total.armed += p.armed;
+      total.flocking += p.flocking;
+      total.incoherent += p.incoherent;
+      total.not_deep += p.not_deep;
+    }
+    EXPECT_GT(delivered, 0u) << where;
+  }
+  // The moved-peer pass and every fallback were reached.
+  EXPECT_GT(total.moved, 0u);
+  EXPECT_GT(total.no_list, 0u);
+  EXPECT_GT(total.armed, 0u);
+  EXPECT_GT(total.flocking, 0u);
+  EXPECT_GT(total.incoherent, 0u);
+  EXPECT_GT(total.not_deep, 0u);
 }
 
 // Property sweep over swarm sizes and seeds: random sender/receiver pairs.

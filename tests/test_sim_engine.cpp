@@ -3,6 +3,9 @@
 // detection, trace counters, and construction validation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -453,6 +456,227 @@ TEST(Engine, WarmObservationsMatchFreshEngine) {
     }
     if (c.delay > 0) {
       EXPECT_GT(stale_views, 0u) << where;
+    }
+  }
+}
+
+TEST(Engine, MovedPeersCoverChangedObservations) {
+  // Snapshot::moved is a superset contract: every peer whose observed
+  // position differs bitwise from the observer's previous observation is
+  // listed, ascending by t0 slot, each with exactly the position the
+  // snapshot shows and the slot the peer held in the observer's t0
+  // snapshot. Cases cover activation gaps (Bernoulli), observation delay,
+  // a quantum whose ties send observations down the cold build, an
+  // identified swarm, teleports and an interceptor's displacements; the
+  // list is absent below kMovedPeersMinRobots and with a visibility
+  // radius.
+  struct Record {
+    bool has_list = false;
+    std::vector<MovedPeer> list;
+    std::vector<Vec2> snapshot;  ///< The snapshot's positions.
+  };
+  class Lister final : public Robot {
+   public:
+    Lister(std::uint64_t seed, double step, std::vector<std::optional<Record>>* out,
+           std::size_t index)
+        : rng_(seed), step_(step), out_(out), index_(index) {}
+    void initialize(const Snapshot&) override {}
+    Vec2 on_activate(const Snapshot& snap) override {
+      Record r;
+      r.has_list = snap.moved != nullptr;
+      if (snap.moved != nullptr) {
+        for (const MovedPeer p : *snap.moved) r.list.push_back(p);
+      }
+      for (const ObservedRobot& o : snap.robots) r.snapshot.push_back(o.position);
+      (*out_)[index_] = std::move(r);
+      const Vec2 self = snap.self_robot().position;
+      if (rng_.flip(0.6)) return self;
+      return self + Vec2{rng_.uniform(-step_, step_),
+                         rng_.uniform(-step_, step_)};
+    }
+
+   private:
+    Rng rng_;
+    double step_;
+    std::vector<std::optional<Record>>* out_;
+    std::size_t index_;
+  };
+  /// Displaces one robot after the moves of every fifth instant.
+  class Shover final : public StepInterceptor {
+   public:
+    void on_activation(Time, ActivationSet&) override {}
+    void on_positions(Time t, std::span<Vec2> positions) override {
+      if (t % 5 == 2) positions[(3 * t) % positions.size()] += Vec2{0.3, -0.2};
+    }
+    [[nodiscard]] bool crashed(RobotIndex, Time) const override {
+      return false;
+    }
+  };
+  struct Case {
+    std::size_t n;
+    bool ids;
+    double quantum;
+    Time delay;
+    double visibility;
+    bool synchronous;
+    bool shove;  ///< Teleports plus the Shover interceptor.
+  };
+  for (const Case c : {Case{70, false, 0.0, 0, 0.0, false, false},
+                       Case{70, false, 0.0, 2, 0.0, false, false},
+                       Case{70, false, 1.0, 0, 0.0, false, false},
+                       Case{64, true, 0.0, 1, 0.0, false, false},
+                       Case{200, false, 0.0, 0, 0.0, true, true},
+                       Case{65, false, 0.0, 0, 0.0, false, true},
+                       Case{63, false, 0.0, 0, 0.0, true, false},
+                       Case{70, false, 0.0, 0, 1e9, true, false}}) {
+    const std::string where =
+        "n=" + std::to_string(c.n) + (c.ids ? " ids" : "") +
+        " q=" + std::to_string(c.quantum) +
+        " delay=" + std::to_string(c.delay) +
+        " vis=" + std::to_string(c.visibility) + (c.shove ? " shove" : "");
+    const std::size_t n = c.n;
+    const bool lists = n >= kMovedPeersMinRobots && c.visibility <= 0.0;
+    Rng rng(91);
+    std::vector<RobotSpec> specs;
+    for (std::size_t i = 0; i < n; ++i) {
+      RobotSpec s;
+      s.sigma = 1.0;
+      // Spacing 2 with jitter under half a unit: every robot rounds to its
+      // own grid point at t0 (distinct t0 observations), while walkers
+      // later share grid points (ties, hence cold builds).
+      s.position = Vec2{2.0 * static_cast<double>(i % 12) +
+                            rng.uniform(-0.45, 0.45),
+                        2.0 * static_cast<double>(i / 12) +
+                            rng.uniform(-0.45, 0.45)};
+      if (c.quantum <= 0.0) {
+        s.frame_rotation = rng.uniform(0.0, geom::kTwoPi);
+        s.frame_unit = rng.uniform(0.5, 2.0);
+        s.frame_mirrored = rng.flip(0.5);
+      }
+      if (c.ids) s.id = static_cast<VisibleId>(5000 - 3 * i);
+      specs.push_back(s);
+    }
+    EngineOptions opt;
+    opt.observation_quantum = c.quantum;
+    opt.observation_delay = c.delay;
+    opt.visibility_radius = c.visibility;
+    opt.check_collisions = false;
+    std::vector<std::optional<Record>> seen(n);
+    std::vector<std::unique_ptr<Robot>> programs;
+    for (std::size_t i = 0; i < n; ++i) {
+      programs.push_back(std::make_unique<Lister>(300 + i, 0.6, &seen, i));
+    }
+    std::unique_ptr<Scheduler> sched;
+    if (c.synchronous) {
+      sched = std::make_unique<SynchronousScheduler>();
+    } else {
+      sched = std::make_unique<BernoulliScheduler>(0.5, 17);
+    }
+    Engine e(specs, std::move(programs), std::move(sched), opt);
+    Shover shover;
+    if (c.shove) e.set_step_interceptor(&shover);
+
+    const std::vector<Vec2> p0(e.positions().begin(), e.positions().end());
+    const auto observe = [&](std::size_t i, const Vec2& g) {
+      const double q = c.quantum;
+      const Vec2 p = q > 0.0 ? Vec2{std::round(g.x / q) * q,
+                                     std::round(g.y / q) * q}
+                             : g;
+      return e.frame(i).to_local(p);
+    };
+    const auto bits = [](const Vec2& v) {
+      return std::make_pair(std::bit_cast<std::uint64_t>(v.x),
+                            std::bit_cast<std::uint64_t>(v.y));
+    };
+    // robot_at[i][slot]: the robot in slot `slot` of i's t0 snapshot, by
+    // matching positions (all distinct at t0).
+    std::vector<std::vector<std::size_t>> robot_at(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Snapshot t0 = e.make_snapshot_at(i, p0, p0, 0);
+      robot_at[i].assign(t0.robots.size(), n);
+      for (std::size_t k = 0; k < t0.robots.size(); ++k) {
+        for (std::size_t j = 0; j < n; ++j) {
+          const Vec2 o = j == i ? e.frame(i).to_local(p0[j]) : observe(i, p0[j]);
+          if (bits(o) == bits(t0.robots[k].position)) robot_at[i][k] = j;
+        }
+        ASSERT_LT(robot_at[i][k], n) << where;
+      }
+    }
+
+    std::vector<std::vector<Vec2>> history;
+    // Previous observation of each peer, by engine index; before the first
+    // activation, the t0 snapshot.
+    std::vector<std::vector<Vec2>> last(n, std::vector<Vec2>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j != i) last[i][j] = observe(i, p0[j]);
+      }
+    }
+    std::size_t listed = 0;
+    std::size_t gaps = 0;
+    std::size_t ties = 0;
+    std::vector<Time> last_t(n, 0);
+    // Shoved before anyone's first activation: the t0 snapshot counts as
+    // seen before it, so the first lists must carry it.
+    if (c.shove) e.teleport(1, p0[1] + Vec2{0.2, 0.2});
+    for (Time t = 0; t < 60; ++t) {
+      if (c.shove && t % 7 == 4) {
+        const RobotIndex r = (5 * t) % n;
+        e.teleport(r, e.positions()[r] + Vec2{0.25, 0.1});
+      }
+      for (auto& r : seen) r.reset();
+      history.emplace_back(e.positions().begin(), e.positions().end());
+      e.step();
+      const std::vector<Vec2>& stale = history[t >= c.delay ? t - c.delay : 0];
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!seen[i]) continue;
+        const Record& r = *seen[i];
+        std::vector<Vec2> now(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          if (j != i) now[j] = observe(i, stale[j]);
+        }
+        for (std::size_t k = 1; k < r.snapshot.size(); ++k) {
+          if (r.snapshot[k] == r.snapshot[k - 1]) ++ties;
+        }
+        if (!lists) {
+          // Absent below the threshold and with a visibility radius.
+          EXPECT_FALSE(r.has_list) << where << " t=" << t << " robot " << i;
+        } else {
+          ASSERT_TRUE(r.has_list) << where << " t=" << t << " robot " << i;
+          if (t > last_t[i] + 1) ++gaps;
+          std::vector<bool> in_list(n, false);
+          for (std::size_t k = 0; k < r.list.size(); ++k) {
+            const MovedPeer& p = r.list[k];
+            if (k > 0) {
+              ASSERT_LT(r.list[k - 1].slot, p.slot) << where << " t=" << t;
+            }
+            ASSERT_LT(p.slot, robot_at[i].size()) << where << " t=" << t;
+            const std::size_t j = robot_at[i][p.slot];
+            ASSERT_NE(j, i) << where << " t=" << t << " robot " << i;
+            EXPECT_EQ(bits(p.position), bits(now[j]))
+                << where << " t=" << t << " robot " << i << " peer " << j;
+            in_list[j] = true;
+          }
+          for (std::size_t j = 0; j < n; ++j) {
+            if (j == i || bits(now[j]) == bits(last[i][j])) continue;
+            EXPECT_TRUE(in_list[j])
+                << where << " t=" << t << " robot " << i << " peer " << j
+                << " changed but is not listed";
+          }
+          listed += r.list.size();
+        }
+        last[i] = now;
+        last_t[i] = t;
+      }
+    }
+    if (lists) {
+      EXPECT_GT(listed, 0u) << where;
+      if (!c.synchronous) {
+        EXPECT_GT(gaps, 0u) << where;
+      }
+    }
+    if (c.quantum > 0.0) {
+      EXPECT_GT(ties, 0u) << where;
     }
   }
 }

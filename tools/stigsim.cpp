@@ -21,6 +21,7 @@
 //
 // Run `stigsim --help` for the full flag list.
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -28,7 +29,9 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/chat_network.hpp"
 #include "core/exit_codes.hpp"
@@ -261,6 +264,34 @@ bool parse(int argc, char** argv, Args& a) {
   return true;
 }
 
+/// Scatters `n` robots uniformly in a square box of half-side `extent`,
+/// pairwise at least `min_gap` apart. Swarms of up to 256 robots use the
+/// box as given (every earlier placement, byte for byte); larger ones
+/// widen it with sqrt(n) to the density of 128 robots, far below the
+/// ~280 robots at which random packing jams the default box. The attempt
+/// budget turns a request that cannot be placed into an error instead of
+/// a hang: nullopt.
+std::optional<std::vector<geom::Vec2>> scatter(std::size_t n,
+                                               std::uint64_t seed,
+                                               double extent,
+                                               double min_gap) {
+  if (n > 256) extent *= std::sqrt(static_cast<double>(n) / 128.0);
+  sim::Rng rng(seed);
+  std::vector<geom::Vec2> pts;
+  const std::uint64_t budget = 1000 * std::uint64_t{n} + 100'000;
+  for (std::uint64_t attempt = 0; pts.size() < n; ++attempt) {
+    if (attempt == budget) return std::nullopt;
+    const geom::Vec2 p{rng.uniform(-extent, extent),
+                       rng.uniform(-extent, extent)};
+    bool ok = true;
+    for (const geom::Vec2& q : pts) {
+      if (geom::dist(p, q) < min_gap) ok = false;
+    }
+    if (ok) pts.push_back(p);
+  }
+  return pts;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -320,6 +351,14 @@ int main(int argc, char** argv) {
     std::cerr << "--from/--to must name robots below --n " << args.n << "\n";
     return kExitUsage;
   }
+  const std::optional<std::vector<geom::Vec2>> placed =
+      scatter(args.n, args.seed ^ 0x5745, args.extent, 3.0);
+  if (!placed) {
+    std::cerr << "could not place " << args.n
+              << " robots 3 apart (attempt budget exhausted)\n";
+    return kExitUsage;
+  }
+  const std::vector<geom::Vec2>& pts = *placed;
 
   // Telemetry sinks: all attached through one fan-out point.
   obs::MultiSink sinks;
@@ -360,20 +399,6 @@ int main(int argc, char** argv) {
     sinks.add(span_builder.get());
   }
   std::unique_ptr<obs::Watchdog> watchdog;
-
-  // Scatter the swarm.
-  sim::Rng rng(args.seed ^ 0x5745);
-  std::vector<geom::Vec2> pts;
-  const double min_gap = 3.0;
-  while (pts.size() < args.n) {
-    const geom::Vec2 p{rng.uniform(-args.extent, args.extent),
-                       rng.uniform(-args.extent, args.extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
 
   core::ChatNetworkOptions opt;
   opt.synchrony = args.async_mode ? core::Synchrony::asynchronous
