@@ -31,31 +31,13 @@
 #include "bench_util.hpp"
 #include "core/chat_network.hpp"
 #include "sim/engine.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace {
 
 using namespace stig;
 using Clock = std::chrono::steady_clock;
-
-/// Deterministic jittered grid: unlike bench::scatter's rejection sampling
-/// (which cannot fit 4096 points with a 3-unit gap in its fixed box), this
-/// scales the box with n and needs no retries.
-std::vector<geom::Vec2> grid_scatter(std::size_t n, std::uint64_t seed,
-                                     double spacing = 3.0) {
-  sim::Rng rng(seed);
-  const auto side = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(n))));
-  std::vector<geom::Vec2> pts;
-  pts.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = static_cast<double>(i % side) * spacing;
-    const double y = static_cast<double>(i / side) * spacing;
-    pts.push_back(geom::Vec2{x + rng.uniform(-0.5, 0.5),
-                             y + rng.uniform(-0.5, 0.5)});
-  }
-  return pts;
-}
 
 /// Oscillates +-0.01 around its start: every activation commits a real
 /// move (exercising the collision scan and trace min-separation paths)
@@ -93,8 +75,10 @@ int main() {
     std::vector<std::unique_ptr<sim::Robot>> programs;
     specs.reserve(n);
     programs.reserve(n);
-    const std::vector<geom::Vec2> start =
-        grid_scatter(n, bench::case_seed(1300, idx));
+    // A jittered grid: a rejection scatter cannot fit 4096 points with a
+    // 3-unit gap in a fixed box.
+    sim::Rng place(bench::case_seed(1300, idx));
+    const std::vector<geom::Vec2> start = sim::jittered_grid(place, n, 3.0);
     for (std::size_t i = 0; i < n; ++i) {
       sim::RobotSpec s;
       s.position = start[i];
@@ -156,7 +140,8 @@ int main() {
     opt.caps.visible_ids = true;
     opt.caps.sense_of_direction = true;
     opt.seed = bench::case_seed(1302, idx);
-    core::ChatNetwork net(grid_scatter(n, bench::case_seed(1303, idx)), opt);
+    sim::Rng place(bench::case_seed(1303, idx));
+    core::ChatNetwork net(sim::jittered_grid(place, n, 3.0), opt);
     const Clock::time_point t0 = Clock::now();
     net.broadcast(0, one_byte);
     const bool done = net.run_until_quiescent(1'000'000);

@@ -16,6 +16,7 @@
 #include "obs/json.hpp"
 #include "par/batch_runner.hpp"
 #include "par/seed.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace stig::bench {
@@ -56,17 +57,7 @@ inline std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed,
                                        double extent = 30.0,
                                        double min_gap = 3.0) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-extent, extent),
-                       rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, extent, min_gap);
 }
 
 /// Random payload bytes, deterministic.

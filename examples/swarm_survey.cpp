@@ -19,22 +19,14 @@
 #include <vector>
 
 #include "core/chat_network.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 int main() {
   using namespace stig;
 
   sim::Rng rng(2026);
   const std::size_t n = 10;
-  std::vector<geom::Vec2> positions;
-  while (positions.size() < n) {
-    const geom::Vec2 p{rng.uniform(-40, 40), rng.uniform(-40, 40)};
-    bool ok = true;
-    for (const geom::Vec2& q : positions) {
-      if (geom::dist(p, q) < 4.0) ok = false;
-    }
-    if (ok) positions.push_back(p);
-  }
+  const std::vector<geom::Vec2> positions = sim::scatter(rng, n, 40.0, 4.0);
 
   core::ChatNetworkOptions opt;
   opt.synchrony = core::Synchrony::synchronous;

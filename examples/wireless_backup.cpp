@@ -19,22 +19,14 @@
 #include "core/chat_network.hpp"
 #include "core/wireless.hpp"
 #include "encode/bits.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 int main() {
   using namespace stig;
 
   sim::Rng rng(7);
   const std::size_t n = 6;
-  std::vector<geom::Vec2> positions;
-  while (positions.size() < n) {
-    const geom::Vec2 p{rng.uniform(-25, 25), rng.uniform(-25, 25)};
-    bool ok = true;
-    for (const geom::Vec2& q : positions) {
-      if (geom::dist(p, q) < 4.0) ok = false;
-    }
-    if (ok) positions.push_back(p);
-  }
+  const std::vector<geom::Vec2> positions = sim::scatter(rng, n, 25.0, 4.0);
 
   core::ChatNetworkOptions mopt;
   mopt.synchrony = core::Synchrony::synchronous;

@@ -93,6 +93,24 @@ const char* scheduler_kind_name(SchedulerKind kind) {
   return "unknown";
 }
 
+std::optional<ProtocolKind> protocol_from_name(std::string_view name) {
+  using PK = ProtocolKind;
+  for (PK k : {PK::automatic, PK::sync2, PK::sliced, PK::ksegment,
+               PK::async2, PK::asyncn}) {
+    if (name == protocol_kind_name(k)) return k;
+  }
+  return std::nullopt;
+}
+
+std::optional<SchedulerKind> scheduler_from_name(std::string_view name) {
+  using SK = SchedulerKind;
+  for (SK k : {SK::bernoulli, SK::centralized, SK::ksubset,
+               SK::adversarial}) {
+    if (name == scheduler_kind_name(k)) return k;
+  }
+  return std::nullopt;
+}
+
 ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
                          ChatNetworkOptions options)
     : options_(options) {

@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/capabilities.hpp"
@@ -62,6 +63,12 @@ enum class SchedulerKind : unsigned char {
 [[nodiscard]] bool has_granular_containment(ProtocolKind kind);
 /// Stable lower-case name for a scheduler kind ("bernoulli", ...).
 [[nodiscard]] const char* scheduler_kind_name(SchedulerKind kind);
+/// Inverse of protocol_kind_name ("auto" included); nullopt when unknown.
+[[nodiscard]] std::optional<ProtocolKind> protocol_from_name(
+    std::string_view name);
+/// Inverse of scheduler_kind_name; nullopt when unknown.
+[[nodiscard]] std::optional<SchedulerKind> scheduler_from_name(
+    std::string_view name);
 
 /// Configuration for ChatNetwork.
 struct ChatNetworkOptions {

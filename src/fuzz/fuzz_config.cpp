@@ -1,10 +1,11 @@
 #include "fuzz/fuzz_config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "par/seed.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig::fuzz {
 namespace {
@@ -86,20 +87,10 @@ std::vector<core::ProtocolKind> equivalence_class(core::ProtocolKind kind,
 }
 
 std::vector<geom::Vec2> scatter(std::uint64_t seed, std::size_t n) {
+  double extent = 30.0;
+  if (n > 256) extent *= std::sqrt(static_cast<double>(n) / 128.0);
   sim::Rng rng(seed ^ 0x5745);
-  std::vector<geom::Vec2> pts;
-  const double extent = 30.0;
-  const double min_gap = 3.0;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-extent, extent),
-                       rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, extent, 3.0);
 }
 
 sim::Time instant_budget(const FuzzConfig& cfg) {

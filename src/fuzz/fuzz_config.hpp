@@ -65,8 +65,11 @@ struct FuzzConfig {
 [[nodiscard]] std::vector<core::ProtocolKind> equivalence_class(
     core::ProtocolKind kind, std::size_t n);
 
-/// The stigsim scatter recipe: n points in [-30, 30]^2, pairwise gap >= 3,
-/// drawn from Rng(seed ^ 0x5745). Geometry is derived, never stored.
+/// The chat placement stigsim and the fuzzer share: sim::scatter from
+/// Rng(seed ^ 0x5745) with pairwise gap >= 3 in [-30, 30]^2, the box widened
+/// by sqrt(n / 128) above n = 256 so large swarms do not jam it. Geometry is
+/// derived, never stored. Throws std::invalid_argument if the attempt budget
+/// runs out.
 [[nodiscard]] std::vector<geom::Vec2> scatter(std::uint64_t seed,
                                               std::size_t n);
 

@@ -28,23 +28,6 @@ std::string payload_hex(const std::vector<std::uint8_t>& payload) {
   return out;
 }
 
-std::optional<core::ProtocolKind> protocol_from_name(const std::string& s) {
-  using PK = core::ProtocolKind;
-  for (PK k : {PK::sync2, PK::sliced, PK::ksegment, PK::async2, PK::asyncn}) {
-    if (s == core::protocol_kind_name(k)) return k;
-  }
-  return std::nullopt;
-}
-
-std::optional<core::SchedulerKind> scheduler_from_name(const std::string& s) {
-  using SK = core::SchedulerKind;
-  for (SK k : {SK::bernoulli, SK::centralized, SK::ksubset,
-               SK::adversarial}) {
-    if (s == core::scheduler_kind_name(k)) return k;
-  }
-  return std::nullopt;
-}
-
 /// Finds `"key"` at top level and returns its raw value: unescaped content
 /// for strings, the bare token for everything else. The format is flat (no
 /// nested objects), which keeps this scan correct.
@@ -189,12 +172,15 @@ std::optional<Repro> load_repro(const std::string& path,
   c.seed = *seed;
   const auto proto_name = find_value(text, "protocol");
   if (!proto_name) return fail("missing protocol");
-  const auto proto = protocol_from_name(*proto_name);
-  if (!proto) return fail("unknown protocol " + *proto_name);
+  // A recorded case names the protocol it ran, never "auto".
+  const auto proto = core::protocol_from_name(*proto_name);
+  if (!proto || *proto == core::ProtocolKind::automatic) {
+    return fail("unknown protocol " + *proto_name);
+  }
   c.protocol = *proto;
   const auto sched_name = find_value(text, "scheduler");
   if (!sched_name) return fail("missing scheduler");
-  const auto sched = scheduler_from_name(*sched_name);
+  const auto sched = core::scheduler_from_name(*sched_name);
   if (!sched) return fail("unknown scheduler " + *sched_name);
   c.scheduler = *sched;
   if (const auto p = find_value(text, "p")) {

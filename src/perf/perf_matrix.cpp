@@ -1,45 +1,23 @@
 #include "perf/perf_matrix.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <sstream>
 
 #include "obs/alloc_track.hpp"
 #include "obs/json.hpp"
 #include "obs/sink.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig::perf {
 namespace {
 
-/// Pairwise-separated points in a box, deterministic in `seed` (same
-/// rejection scheme as bench::scatter; duplicated here because src must
-/// not include bench headers). The fixed 80x80 rejection box saturates
-/// near 700 points at the 3-unit separation, so large cells switch to a
-/// jittered spacing-3 grid whose extent scales with n instead.
+/// Pairwise-separated points, deterministic in `seed`. The fixed 80x80
+/// rejection box saturates near 700 points at the 3-unit separation, so
+/// cells above 256 robots use a jittered spacing-3 grid instead.
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  if (n > 256) {
-    const auto side = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(n))));
-    pts.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pts.push_back(geom::Vec2{
-          static_cast<double>(i % side) * 3.0 + rng.uniform(-0.5, 0.5),
-          static_cast<double>(i / side) * 3.0 + rng.uniform(-0.5, 0.5)});
-    }
-    return pts;
-  }
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < 3.0) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  if (n > 256) return sim::jittered_grid(rng, n, 3.0);
+  return sim::scatter(rng, n, 40.0, 3.0);
 }
 
 std::vector<std::uint8_t> payload(std::size_t len, std::uint64_t seed) {

@@ -100,7 +100,10 @@ geom::Vec2 Async2Robot::on_activate(const sim::Snapshot& snap) {
       note_phase("march");
       const auto bit = peek_bit();
       if (bit && barrier_.satisfied(tracker_)) {
-        assert(bit->first == 1 && "2-robot chat: the peer is slot 1");
+        // A broadcast rides its own lane (self_slot()); with one peer it is
+        // transmitted as the unicast to slot 1.
+        assert((bit->first == 1 || bit->first == self_slot()) &&
+               "2-robot chat: the peer is slot 1, or the broadcast lane");
         exc_dir_ = bit->second == 0 ? east_ : -east_;
         barrier_.arm(tracker_, 1, options_.ack_changes);
         note_ack_window();

@@ -52,8 +52,8 @@ struct SessionLimits {
   std::size_t max_sessions = 65536; ///< Live sessions per registry.
 };
 
-/// Deterministic swarm placement for a session: pairwise-separated points
-/// in a box that widens with n (same rejection scatter as the benches).
+/// Deterministic swarm placement for a session: sim::scatter with gap 3 in
+/// a box that widens with n.
 [[nodiscard]] std::vector<geom::Vec2> scatter_positions(std::size_t n,
                                                         std::uint64_t seed);
 

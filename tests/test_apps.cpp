@@ -7,7 +7,7 @@
 #include "apps/aggregate.hpp"
 #include "geom/angle.hpp"
 #include "apps/election.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -18,16 +18,7 @@ using core::Synchrony;
 
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-30, 30), rng.uniform(-30, 30)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < 3.0) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, 30.0, 3.0);
 }
 
 TEST(Aggregate, MaxByteWithAnnouncement) {

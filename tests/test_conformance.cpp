@@ -7,7 +7,7 @@
 #include "geom/angle.hpp"
 #include "geom/voronoi.hpp"
 #include "proto/conformance.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -19,16 +19,7 @@ using core::Synchrony;
 
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-25, 25), rng.uniform(-25, 25)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < 3.0) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, 25.0, 3.0);
 }
 
 std::vector<std::uint8_t> random_payload(std::size_t len,

@@ -5,7 +5,7 @@
 #include "core/multicast.hpp"
 #include "encode/bits.hpp"
 #include "encode/framing.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -17,16 +17,7 @@ using core::Synchrony;
 
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-30, 30), rng.uniform(-30, 30)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < 3.0) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, 30.0, 3.0);
 }
 
 ChatNetworkOptions sync_options() {

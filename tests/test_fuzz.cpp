@@ -126,6 +126,14 @@ TEST(FuzzRepro, LoadRejectsMalformedFiles) {
   }
   EXPECT_FALSE(fuzz::load_repro(path, &error));
   EXPECT_NE(error.find("missing"), std::string::npos) << error;
+  {
+    // stigsim accepts "auto"; a recorded case names the protocol it ran.
+    std::ofstream out(path);
+    out << "{\"kind\": \"timeout\", \"schedule_digest\": \"0x1\", "
+           "\"seed\": 3, \"protocol\": \"auto\"}\n";
+  }
+  EXPECT_FALSE(fuzz::load_repro(path, &error));
+  EXPECT_NE(error.find("unknown protocol auto"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 

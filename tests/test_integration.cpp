@@ -8,7 +8,7 @@
 #include "geom/angle.hpp"
 #include "sim/engine.hpp"
 #include "sim/observation.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -188,15 +188,7 @@ TEST_P(LatticeSoakTest, RandomScenarioDelivers) {
   // Async runs are expensive; keep swarms smaller there.
   const std::size_t n = synchronous ? 2 + rng.uniform_int(0, 8)
                                     : 2 + rng.uniform_int(0, 3);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-25, 25), rng.uniform(-25, 25)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < 2.0) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
+  const std::vector<geom::Vec2> pts = sim::scatter(rng, n, 25.0, 2.0);
   ChatNetwork net(pts, opt);
   const std::size_t from = rng.uniform_int(0, n - 1);
   std::size_t to;

@@ -8,7 +8,7 @@
 #include "encode/framing.hpp"
 #include "geom/voronoi.hpp"
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -21,17 +21,7 @@ using core::Synchrony;
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed,
                                 double extent = 30.0, double min_gap = 3.0) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-extent, extent),
-                       rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, extent, min_gap);
 }
 
 std::vector<std::uint8_t> random_payload(std::size_t len,

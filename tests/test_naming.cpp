@@ -12,7 +12,7 @@
 #include "geom/sec.hpp"
 #include "proto/naming.hpp"
 #include "sim/frame.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig::proto {
 namespace {
@@ -21,16 +21,7 @@ using geom::Vec2;
 
 std::vector<Vec2> random_points(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<Vec2> pts;
-  while (pts.size() < n) {
-    const Vec2 p{rng.uniform(-20, 20), rng.uniform(-20, 20)};
-    bool ok = true;
-    for (const Vec2& q : pts) {
-      if (geom::dist(p, q) < 0.5) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, 20.0, 0.5);
 }
 
 std::vector<Vec2> transform_all(const std::vector<Vec2>& pts,

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/chat_network.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -16,16 +16,7 @@ using core::Synchrony;
 
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-30, 30), rng.uniform(-30, 30)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < 3.5) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, 30.0, 3.5);
 }
 
 std::vector<std::uint8_t> numbered(std::uint8_t k, std::size_t len = 4) {

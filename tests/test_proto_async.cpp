@@ -6,7 +6,7 @@
 #include "core/chat_network.hpp"
 #include "encode/bits.hpp"
 #include "geom/voronoi.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -19,17 +19,7 @@ using core::Synchrony;
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed,
                                 double extent = 30.0, double min_gap = 2.0) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-extent, extent),
-                       rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, extent, min_gap);
 }
 
 std::vector<std::uint8_t> random_payload(std::size_t len,
@@ -112,6 +102,23 @@ TEST(Async2, BandedVariantStaysBounded) {
   ASSERT_EQ(net.received(1).size(), 1u);
   EXPECT_EQ(net.received(1)[0].payload, msg);
   EXPECT_GT(net.engine().trace().min_separation(), 0.5);
+}
+
+TEST(Async2, BroadcastReachesPeer) {
+  // With one peer there is no broadcast lane to signal on: the broadcast
+  // travels as the unicast to the peer and arrives unflagged.
+  ChatNetworkOptions opt = async_options(SchedulerKind::bernoulli, 13);
+  ChatNetwork net({geom::Vec2{0, 0}, geom::Vec2{5, 1}}, opt);
+  const auto msg = random_payload(5, 4);
+  net.broadcast(0, msg);
+  ASSERT_TRUE(net.run_until_quiescent(500'000));
+  net.run(128);
+  ASSERT_EQ(net.received(1).size(), 1u);
+  EXPECT_EQ(net.received(1)[0].payload, msg);
+  EXPECT_EQ(net.received(1)[0].from, 0u);
+  EXPECT_EQ(net.received(1)[0].to, 1u);
+  EXPECT_FALSE(net.received(1)[0].broadcast);
+  EXPECT_TRUE(net.received(0).empty());
 }
 
 TEST(Async2, LongMessageUnderSlowActivation) {

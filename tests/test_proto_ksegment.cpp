@@ -6,7 +6,7 @@
 #include "core/chat_network.hpp"
 #include "encode/bits.hpp"
 #include "encode/ksegment_code.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -18,16 +18,7 @@ using core::Synchrony;
 
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-40, 40), rng.uniform(-40, 40)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < 2.0) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, 40.0, 2.0);
 }
 
 std::vector<std::uint8_t> random_payload(std::size_t len,

@@ -9,7 +9,7 @@
 #include "geom/angle.hpp"
 #include "proto/slices.hpp"
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig::proto {
 namespace {
@@ -159,15 +159,7 @@ TEST(SlicedCore, HintedAssociationMatchesColdCore) {
   // arrive sorted, slightly shuffled or fully shuffled.
   for (const std::size_t n : {8u, 63u, 64u, 200u}) {
     sim::Rng rng(1000 + n);
-    const auto side = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(n))));
-    std::vector<Vec2> t0;
-    for (std::size_t i = 0; i < n; ++i) {
-      t0.push_back(Vec2{static_cast<double>(i % side) * 3.0 +
-                            rng.uniform(-0.5, 0.5),
-                        static_cast<double>(i / side) * 3.0 +
-                            rng.uniform(-0.5, 0.5)});
-    }
+    const std::vector<Vec2> t0 = sim::jittered_grid(rng, n, 3.0);
     SlicedCore hinted(snapshot_of(t0, 0), NamingMode::lexicographic, 4);
     for (int call = 0; call < 40; ++call) {
       std::vector<Vec2> now(n);
@@ -238,9 +230,7 @@ TEST(SlicedCore, AtRestRejectionMatchesGranularClassify) {
     const bool mirrored = rng.flip(0.5);
     const Vec2 shift{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
     std::vector<Vec2> pts;
-    for (std::size_t i = 0; i < n; ++i) {
-      Vec2 p{static_cast<double>(i % 4) * 3.0 + rng.uniform(-0.5, 0.5),
-             static_cast<double>(i / 4) * 3.0 + rng.uniform(-0.5, 0.5)};
+    for (Vec2 p : sim::jittered_grid(rng, n, 3.0)) {
       p = p.rotated(rot) + shift;
       if (mirrored) p.x = -p.x;
       pts.push_back(p * unit);

@@ -16,7 +16,7 @@
 #include "obs/cov.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "proto/sync_sliced.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig {
 namespace {
@@ -30,17 +30,7 @@ using core::Synchrony;
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed,
                                 double extent = 30.0, double min_gap = 2.0) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-extent, extent),
-                       rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, extent, min_gap);
 }
 
 std::vector<std::uint8_t> random_payload(std::size_t len,

@@ -6,7 +6,7 @@
 #include <fstream>
 
 #include "geom/angle.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 #include "viz/figures.hpp"
 #include "viz/svg.hpp"
 
@@ -125,15 +125,7 @@ TEST(Svg, WritesFile) {
 
 TEST(Figures, DrawSwarmComposesEverything) {
   sim::Rng rng(3);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < 6) {
-    const geom::Vec2 p{rng.uniform(-10, 10), rng.uniform(-10, 10)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < 2.0) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
+  const std::vector<geom::Vec2> pts = sim::scatter(rng, 6, 10.0, 2.0);
   SwarmDrawing what;
   what.voronoi = true;
   what.diameters = 6;

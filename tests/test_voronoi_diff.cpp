@@ -14,7 +14,7 @@
 #include "geom/angle.hpp"
 #include "geom/convex.hpp"
 #include "geom/voronoi.hpp"
-#include "sim/rng.hpp"
+#include "sim/placement.hpp"
 
 namespace stig::geom {
 namespace {
@@ -22,16 +22,7 @@ namespace {
 std::vector<Vec2> random_sites(std::size_t n, std::uint64_t seed,
                                double extent) {
   sim::Rng rng(seed);
-  std::vector<Vec2> pts;
-  while (pts.size() < n) {
-    const Vec2 p{rng.uniform(-extent, extent), rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const Vec2& q : pts) {
-      if (dist(p, q) < 1e-3) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, extent, 1e-3);
 }
 
 std::vector<Vec2> grid_sites(std::size_t side, double spacing,

@@ -21,21 +21,21 @@
 //
 // Run `stigsim --help` for the full flag list.
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/chat_network.hpp"
 #include "core/exit_codes.hpp"
 #include "encode/bits.hpp"
+#include "fuzz/fuzz_config.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/repro.hpp"
 #include "obs/chrome_trace.hpp"
@@ -46,7 +46,6 @@
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "obs/watchdog.hpp"
-#include "sim/rng.hpp"
 #include "sim/jsonl.hpp"
 #include "viz/figures.hpp"
 
@@ -74,7 +73,6 @@ struct Args {
   bool broadcast = false;
   double p = 0.5;
   double sigma = 0.25;
-  double extent = 30.0;
   double quantum = 0.0;
   sim::Time delay = 0;
   std::size_t k = 4;
@@ -264,34 +262,6 @@ bool parse(int argc, char** argv, Args& a) {
   return true;
 }
 
-/// Scatters `n` robots uniformly in a square box of half-side `extent`,
-/// pairwise at least `min_gap` apart. Swarms of up to 256 robots use the
-/// box as given (every earlier placement, byte for byte); larger ones
-/// widen it with sqrt(n) to the density of 128 robots, far below the
-/// ~280 robots at which random packing jams the default box. The attempt
-/// budget turns a request that cannot be placed into an error instead of
-/// a hang: nullopt.
-std::optional<std::vector<geom::Vec2>> scatter(std::size_t n,
-                                               std::uint64_t seed,
-                                               double extent,
-                                               double min_gap) {
-  if (n > 256) extent *= std::sqrt(static_cast<double>(n) / 128.0);
-  sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  const std::uint64_t budget = 1000 * std::uint64_t{n} + 100'000;
-  for (std::uint64_t attempt = 0; pts.size() < n; ++attempt) {
-    if (attempt == budget) return std::nullopt;
-    const geom::Vec2 p{rng.uniform(-extent, extent),
-                       rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -330,20 +300,9 @@ int main(int argc, char** argv) {
     return kExitRuntime;
   }
 
-  static const std::map<std::string, core::ProtocolKind> kProtocols{
-      {"auto", core::ProtocolKind::automatic},
-      {"sync2", core::ProtocolKind::sync2},
-      {"sliced", core::ProtocolKind::sliced},
-      {"ksegment", core::ProtocolKind::ksegment},
-      {"async2", core::ProtocolKind::async2},
-      {"asyncn", core::ProtocolKind::asyncn}};
-  static const std::map<std::string, core::SchedulerKind> kSchedulers{
-      {"bernoulli", core::SchedulerKind::bernoulli},
-      {"centralized", core::SchedulerKind::centralized},
-      {"ksubset", core::SchedulerKind::ksubset},
-      {"adversarial", core::SchedulerKind::adversarial}};
-  if (!kProtocols.contains(args.protocol) ||
-      !kSchedulers.contains(args.scheduler)) {
+  const auto protocol = core::protocol_from_name(args.protocol);
+  const auto scheduler = core::scheduler_from_name(args.scheduler);
+  if (!protocol || !scheduler) {
     std::cerr << "unknown protocol or scheduler (see --help)\n";
     return kExitUsage;
   }
@@ -351,14 +310,13 @@ int main(int argc, char** argv) {
     std::cerr << "--from/--to must name robots below --n " << args.n << "\n";
     return kExitUsage;
   }
-  const std::optional<std::vector<geom::Vec2>> placed =
-      scatter(args.n, args.seed ^ 0x5745, args.extent, 3.0);
-  if (!placed) {
-    std::cerr << "could not place " << args.n
-              << " robots 3 apart (attempt budget exhausted)\n";
+  std::vector<geom::Vec2> pts;
+  try {
+    pts = fuzz::scatter(args.seed, args.n);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
     return kExitUsage;
   }
-  const std::vector<geom::Vec2>& pts = *placed;
 
   // Telemetry sinks: all attached through one fan-out point.
   obs::MultiSink sinks;
@@ -406,8 +364,8 @@ int main(int argc, char** argv) {
   opt.caps.visible_ids = args.ids;
   opt.caps.sense_of_direction = args.sod || args.ids;
   opt.mirrored_frames = args.mirrored;
-  opt.protocol = kProtocols.at(args.protocol);
-  opt.scheduler = kSchedulers.at(args.scheduler);
+  opt.protocol = *protocol;
+  opt.scheduler = *scheduler;
   opt.activation_probability = args.p;
   opt.sigma = args.sigma;
   opt.seed = args.seed;
