@@ -137,7 +137,7 @@ int main() {
             << " queue-waiting)\n";
   std::ofstream span_file("leader_election_spans.json");
   spans.write_json(span_file);
-  std::cout << "wrote leader_election_spans.json (feed it to stigreport "
-               "or load the --span-trace form in Perfetto)\n";
+  std::cout << "wrote leader_election_spans.json (the span document "
+               "stigreport spans --json writes)\n";
   return confirms == n - 1 && watchdog.ok() ? 0 : 1;
 }

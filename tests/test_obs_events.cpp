@@ -1,10 +1,13 @@
 // Event-stream tests: golden JSONL rendering, deterministic event logs,
-// payload reconstruction from BitDecoded events, Chrome trace shape (spans
-// per protocol phase, no overlap per thread), and Trace-as-EventSink
-// equivalence (replaying a run's events reproduces its statistics).
+// payload reconstruction from BitDecoded events, the position history as a
+// fold of the JSONL log, Chrome trace shape (spans per protocol phase, no
+// overlap per thread), and Trace-as-EventSink equivalence (replaying a
+// run's events reproduces its statistics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -14,7 +17,9 @@
 #include "core/chat_network.hpp"
 #include "encode/bits.hpp"
 #include "encode/framing.hpp"
+#include "fuzz/fuzz_config.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/jsonl_parse.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/sink.hpp"
 #include "sim/trace.hpp"
@@ -176,6 +181,90 @@ TEST(Events, BitDecodedStreamReconstructsThePayload) {
     ++frames;
   }
   EXPECT_EQ(frames, 1u);
+}
+
+/// Folds a run's configuration history out of its event log: configuration
+/// 0 holds each robot's first `activation` position, and configuration k is
+/// configuration k-1 with the `move` records stamped t = k-1 applied. One
+/// configuration per `step_complete` follows the first.
+std::vector<std::vector<geom::Vec2>> fold_positions(
+    const std::vector<obs::Event>& events, std::size_t n) {
+  std::vector<std::vector<geom::Vec2>> configs(1, std::vector<geom::Vec2>(n));
+  std::vector<bool> placed(n, false);
+  for (const obs::Event& e : events) {
+    if (e.type != obs::EventType::Activation) continue;
+    const auto robot = static_cast<std::size_t>(e.robot);
+    if (!placed[robot]) configs[0][robot] = {e.x, e.y};
+    placed[robot] = true;
+  }
+  EXPECT_EQ(std::count(placed.begin(), placed.end(), true),
+            static_cast<std::ptrdiff_t>(n));
+  configs.push_back(configs[0]);
+  for (const obs::Event& e : events) {
+    if (e.type == obs::EventType::Move) {
+      EXPECT_EQ(e.t + 2, configs.size());
+      configs.back()[static_cast<std::size_t>(e.robot)] = {e.x, e.y};
+    } else if (e.type == obs::EventType::StepComplete) {
+      configs.push_back(configs.back());
+    }
+  }
+  configs.pop_back();
+  return configs;
+}
+
+TEST(Events, PositionHistoryIsAFoldOfTheLog) {
+  struct Shape {
+    const char* name;
+    std::size_t n;
+    core::Synchrony synchrony;
+    core::SchedulerKind scheduler;
+    double quantum;
+    sim::Time delay;
+  };
+  using core::SchedulerKind;
+  constexpr auto kSync = core::Synchrony::synchronous;
+  constexpr auto kAsync = core::Synchrony::asynchronous;
+  const Shape shapes[] = {
+      {"sync n=3", 3, kSync, SchedulerKind::bernoulli, 0.0, 0},
+      {"bernoulli n=5", 5, kAsync, SchedulerKind::bernoulli, 0.0, 0},
+      {"bernoulli n=2", 2, kAsync, SchedulerKind::bernoulli, 0.0, 0},
+      {"adversarial n=8", 8, kAsync, SchedulerKind::adversarial, 0.0, 0},
+      {"centralized n=6 delay 2", 6, kAsync, SchedulerKind::centralized, 0.0,
+       2},
+      {"sync n=7 quantum 0.01 delay 1", 7, kSync, SchedulerKind::bernoulli,
+       0.01, 1},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    core::ChatNetworkOptions opt;
+    opt.synchrony = shape.synchrony;
+    opt.scheduler = shape.scheduler;
+    opt.observation_quantum = shape.quantum;
+    opt.observation_delay = shape.delay;
+    opt.record_positions = true;
+    std::ostringstream log_text;
+    obs::JsonlEventSink sink(log_text);
+    core::ChatNetwork net(fuzz::scatter(opt.seed, shape.n), opt);
+    net.attach_event_sink(&sink);
+    net.send(0, 1, encode::bytes_of("fold"));
+    ASSERT_TRUE(net.run_until_quiescent(100'000));
+    sink.flush();
+
+    obs::EventLog log;
+    std::istringstream in(log_text.str());
+    ASSERT_EQ(log.read(in), 0u);
+    const auto folded = fold_positions(log.events(), shape.n);
+    const auto& recorded = net.engine().trace().positions();
+    ASSERT_EQ(folded.size(), recorded.size());
+    ASSERT_GT(recorded.size(), 2u);
+    // Exact doubles survive the file: configurations are equal bit for bit.
+    for (std::size_t t = 0; t < recorded.size(); ++t) {
+      ASSERT_EQ(std::memcmp(folded[t].data(), recorded[t].data(),
+                            shape.n * sizeof(geom::Vec2)),
+                0)
+          << "t=" << t;
+    }
+  }
 }
 
 /// Pulls the integer that follows `key` in `line` (-1 when absent).

@@ -1,6 +1,7 @@
 # Runs a command and passes only when it exits with EXIT and its combined
 # stdout/stderr matches REGEX — a ctest can pin one exact non-zero exit
-# code, which PASS_REGULAR_EXPRESSION and WILL_FAIL cannot. Usage:
+# code, which PASS_REGULAR_EXPRESSION and WILL_FAIL cannot. An optional
+# -DTIMEOUT=SECONDS kills a command that does not exit. Usage:
 #
 #   cmake -DEXIT=3 -DREGEX=could -P expect_exit.cmake -- prog arg...
 set(cmd)
@@ -14,7 +15,10 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 
-execute_process(COMMAND ${cmd} RESULT_VARIABLE rc
+if(DEFINED TIMEOUT)
+  set(timeout TIMEOUT ${TIMEOUT})
+endif()
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc ${timeout}
                 OUTPUT_VARIABLE out ERROR_VARIABLE out)
 message("${out}")
 if(NOT rc STREQUAL "${EXIT}")

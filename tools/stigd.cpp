@@ -33,6 +33,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "flag_number.hpp"
 #include "obs/json.hpp"
 #include "serve/shard.hpp"
 #include "serve/wire.hpp"
@@ -91,10 +92,7 @@ bool parse(int argc, char** argv, Args& a) {
     const std::string flag = argv[i];
     const auto num = [&](auto& out) {
       const char* v = need(i);
-      if (!v) return false;
-      out = static_cast<std::remove_reference_t<decltype(out)>>(
-          std::strtoull(v, nullptr, 10));
-      return true;
+      return v != nullptr && cli::parse_number(flag, v, out);
     };
     if (flag == "--help" || flag == "-h") {
       a.help = true;

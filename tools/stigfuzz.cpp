@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "flag_number.hpp"
 #include "fuzz/batch.hpp"
 #include "fuzz/cov_guided.hpp"
 #include "fuzz/fuzz_config.hpp"
@@ -120,36 +121,38 @@ bool parse(int argc, char** argv, Args& a) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    const auto num = [&](auto& out) {
+      const char* v = need(i);
+      return v != nullptr && cli::parse_number(flag, v, out);
+    };
+    const auto str = [&](std::string& out) {
+      const char* v = need(i);
+      if (v != nullptr) out = v;
+      return v != nullptr;
+    };
     if (flag == "--help" || flag == "-h") {
       a.help = true;
     } else if (flag == "--cases") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.cases = static_cast<std::size_t>(std::stoull(v));
+      if (!num(a.cases)) return false;
     } else if (flag == "--seed") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.seed = std::stoull(v);
+      if (!num(a.seed)) return false;
     } else if (flag == "--budget") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.budget_seconds = std::stod(v);
+      if (!num(a.budget_seconds)) return false;
     } else if (flag == "--out") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.out_dir = v;
+      if (!str(a.out_dir)) return false;
     } else if (flag == "--corpus") {
       const char* v = need(i);
       if (!v) return false;
       std::stringstream ss(v);
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        if (!tok.empty()) a.corpus.push_back(std::stoull(tok));
+        if (tok.empty()) continue;
+        std::uint64_t seed = 0;
+        if (!cli::parse_number(flag, tok, seed)) return false;
+        a.corpus.push_back(seed);
       }
     } else if (flag == "--inject") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.inject = v;
+      if (!str(a.inject)) return false;
       if (a.inject != "framing") {
         std::cerr << "--inject supports: framing\n";
         return false;
@@ -161,17 +164,11 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (flag == "--no-shrink") {
       a.no_shrink = true;
     } else if (flag == "--max-shrink") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.max_shrink = static_cast<std::size_t>(std::stoull(v));
+      if (!num(a.max_shrink)) return false;
     } else if (flag == "--jobs") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.jobs = static_cast<std::size_t>(std::stoull(v));
+      if (!num(a.jobs)) return false;
     } else if (flag == "--cov") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.cov_dir = v;
+      if (!str(a.cov_dir)) return false;
     } else if (flag == "--cov-guided") {
       a.cov_guided = true;
     } else {

@@ -45,6 +45,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "flag_number.hpp"
 #include "obs/metric_keys.hpp"
 #include "obs/metrics.hpp"
 #include "par/seed.hpp"
@@ -125,10 +126,7 @@ bool parse(int argc, char** argv, Args& a) {
     const std::string flag = argv[i];
     const auto num = [&](auto& out) {
       const char* v = need(i);
-      if (!v) return false;
-      out = static_cast<std::remove_reference_t<decltype(out)>>(
-          std::strtoull(v, nullptr, 10));
-      return true;
+      return v != nullptr && cli::parse_number(flag, v, out);
     };
     const auto str = [&](std::string& out) {
       const char* v = need(i);
@@ -143,9 +141,7 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (flag == "--requests") {
       if (!num(a.requests)) return false;
     } else if (flag == "--seconds") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.seconds = std::strtod(v, nullptr);
+      if (!num(a.seconds)) return false;
     } else if (flag == "--sessions") {
       if (!num(a.sessions)) return false;
     } else if (flag == "--robots-max") {
@@ -198,8 +194,10 @@ std::optional<Mix> parse_mix(const std::string& spec) {
     const std::size_t colon = item.find(':');
     if (colon == std::string::npos) return std::nullopt;
     const std::string name = item.substr(0, colon);
-    const std::uint64_t w =
-        std::strtoull(item.c_str() + colon + 1, nullptr, 10);
+    std::uint64_t w = 0;
+    if (!cli::parse_number("--mix", item.substr(colon + 1), w)) {
+      return std::nullopt;
+    }
     bool known = false;
     for (std::size_t v = 0; v < kNames.size(); ++v) {
       if (name == kNames[v]) {

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_number.hpp"
 #include "obs/alloc_track.hpp"
 #include "par/batch_runner.hpp"
 #include "perf/perf_matrix.hpp"
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
     } else if (a == "--jobs") {
       const auto v = need("--jobs");
       if (!v) return kExitUsage;
-      jobs = static_cast<std::size_t>(std::strtoull(v->c_str(), nullptr, 10));
+      if (!stig::cli::parse_number(a, *v, jobs)) return kExitUsage;
       if (jobs == 0) jobs = 1;
     } else if (a == "--scenario") {
       const auto v = need("--scenario");

@@ -7,8 +7,8 @@
 //       print per-message latency attribution: an end-to-end percentile
 //       summary, a per-span table (bits, phases, deliveries), per-robot
 //       utilization and the run's critical path. `--json FILE` re-emits
-//       the full span document ("-" = stdout); `--trace FILE` writes the
-//       nested Chrome-trace view.
+//       the full span document ("-" = stdout, and the table goes to
+//       stderr); `--trace FILE` writes the nested Chrome-trace view.
 //
 //   stigreport diff --baseline PATH <BENCH_*.json ...>
 //       Compare bench artifacts against committed baselines. PATH is a
@@ -42,7 +42,6 @@
 // error; 3 I/O or parse error.
 #include <algorithm>
 #include <cmath>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -53,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_number.hpp"
 #include "obs/jsonl_parse.hpp"
 #include "obs/metric_keys.hpp"
 #include "obs/span.hpp"
@@ -167,7 +167,8 @@ int run_spans(const std::vector<std::string>& args) {
   for (const auto& s : spans) e2e.push_back(static_cast<double>(s.end_to_end()));
   std::sort(e2e.begin(), e2e.end());
 
-  std::ostream& out = std::cout;
+  // "--json -" keeps stdout for the span document, so it pipes into jq.
+  std::ostream& out = json_out == "-" ? std::cerr : std::cout;
   out << "run: " << builder.instants() << " instants, " << spans.size()
       << " message span(s)";
   if (builder.corrupt_frames() > 0) {
@@ -328,16 +329,6 @@ std::optional<BenchValues> parse_bench(const std::string& path) {
   return out;
 }
 
-std::optional<double> as_number(const std::string& raw) {
-  double v = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  if (ec != std::errc{} || ptr != raw.data() + raw.size()) {
-    return std::nullopt;
-  }
-  return v;
-}
-
 /// Machine-speed dependent keys never gate: they vary run to run on the
 /// same commit. The marker convention lives in obs/metric_keys.hpp so
 /// producers (stigperf, bench::Report users) and this gate agree.
@@ -386,7 +377,7 @@ int run_gate(const std::vector<std::string>& args, bool perf_mode) {
     } else if (a == "--threshold") {
       const auto v = need("--threshold");
       if (!v) return kExitUsage;
-      const auto t = as_number(*v);
+      const auto t = stig::cli::read_number<double>(*v);
       if (!t || *t < 0.0) {
         std::cerr << "stigreport: bad --threshold " << *v << "\n";
         return kExitUsage;
@@ -398,7 +389,7 @@ int run_gate(const std::vector<std::string>& args, bool perf_mode) {
       const std::size_t eq = v->find('=');
       const auto t = eq == std::string::npos
                          ? std::nullopt
-                         : as_number(v->substr(eq + 1));
+                         : stig::cli::read_number<double>(v->substr(eq + 1));
       if (!t || *t < 0.0) {
         std::cerr << "stigreport: --bench-threshold wants NAME=R, got "
                   << *v << "\n";
@@ -477,8 +468,8 @@ int run_gate(const std::vector<std::string>& args, bool perf_mode) {
         continue;
       }
       ++compared;
-      const auto cur_n = as_number(raw);
-      const auto base_n = as_number(base_it->second);
+      const auto cur_n = stig::cli::read_number<double>(raw);
+      const auto base_n = stig::cli::read_number<double>(base_it->second);
       if (cur_n && base_n) {
         const double denom = std::max(std::abs(*base_n), 1e-12);
         const double rel = std::abs(*cur_n - *base_n) / denom;

@@ -8,7 +8,8 @@
 //   stigsim --async --p 0.4 --n 4 --broadcast --message "to all" --svg run.svg
 //   stigsim --n 12 --protocol ksegment --k 3 --ids --sod --seed 9
 //   stigsim --n 6 --message hi --events e.jsonl --chrome-trace t.json
-//   stigsim --n 6 --message hi --spans - --watchdog report --report r.json
+//   stigsim --n 6 --message hi --watchdog report --events e.jsonl
+//   stigreport spans e.jsonl --json spans.json --trace spans_trace.json
 //
 // `stigsim --replay repro.json` re-executes a failing case written by
 // stigfuzz and verifies the failure reproduces bit-for-bit (same failure
@@ -22,12 +23,10 @@
 // Run `stigsim --help` for the full flag list.
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "core/chat_network.hpp"
 #include "core/exit_codes.hpp"
 #include "encode/bits.hpp"
+#include "flag_number.hpp"
 #include "fuzz/fuzz_config.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/repro.hpp"
@@ -44,9 +44,7 @@
 #include "obs/metrics.hpp"
 #include "obs/metrics_sink.hpp"
 #include "obs/sink.hpp"
-#include "obs/span.hpp"
 #include "obs/watchdog.hpp"
-#include "sim/jsonl.hpp"
 #include "viz/figures.hpp"
 
 namespace {
@@ -83,12 +81,9 @@ struct Args {
   std::size_t to = 1;
   sim::Time max_instants = 5'000'000;
   std::string svg;
-  std::string jsonl;
   std::string events;
   std::string chrome_trace;
   std::string report;
-  std::string spans;
-  std::string span_trace;
   std::string metrics;
   std::string watchdog;       // "", "report" or "abort".
   std::string replay;         // stigfuzz repro file to re-execute.
@@ -119,14 +114,10 @@ void print_help() {
       "  --broadcast       one-to-all from --from instead of unicast\n"
       "  --max-instants T  give up after T instants\n"
       "  --svg FILE        write the trajectory figure\n"
-      "  --jsonl FILE      write the position history as JSON Lines\n"
       "  --events FILE     write the telemetry event log as JSON Lines\n"
       "  --chrome-trace F  write a Chrome/Perfetto trace_event file\n"
       "  --report FILE     write the machine-readable run report\n"
       "                    (\"-\" writes the report to stdout)\n"
-      "  --spans FILE      write per-message span JSON (\"-\" = stdout)\n"
-      "  --span-trace F    write nested message/phase spans as a Chrome\n"
-      "                    trace_event file\n"
       "  --metrics FILE    write a MetricsRegistry snapshot as JSON at\n"
       "                    exit (\"-\" = stdout)\n"
       "  --replay FILE     re-execute a stigfuzz repro and verify the\n"
@@ -153,10 +144,12 @@ bool parse(int argc, char** argv, Args& a) {
     const std::string flag = argv[i];
     const auto num = [&](auto& out) {
       const char* v = need(i);
-      if (!v) return false;
-      out = static_cast<std::remove_reference_t<decltype(out)>>(
-          std::stod(v));
-      return true;
+      return v != nullptr && cli::parse_number(flag, v, out);
+    };
+    const auto str = [&](std::string& out) {
+      const char* v = need(i);
+      if (v != nullptr) out = v;
+      return v != nullptr;
     };
     if (flag == "--help" || flag == "-h") {
       a.help = true;
@@ -191,69 +184,35 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (flag == "--max-instants") {
       if (!num(a.max_instants)) return false;
     } else if (flag == "--protocol") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.protocol = v;
+      if (!str(a.protocol)) return false;
     } else if (flag == "--scheduler") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.scheduler = v;
+      if (!str(a.scheduler)) return false;
     } else if (flag == "--message") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.message = v;
+      if (!str(a.message)) return false;
     } else if (flag == "--svg") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.svg = v;
-    } else if (flag == "--jsonl") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.jsonl = v;
+      if (!str(a.svg)) return false;
     } else if (flag == "--events") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.events = v;
+      if (!str(a.events)) return false;
     } else if (flag == "--chrome-trace") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.chrome_trace = v;
+      if (!str(a.chrome_trace)) return false;
     } else if (flag == "--report") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.report = v;
-    } else if (flag == "--spans") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.spans = v;
-    } else if (flag == "--span-trace") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.span_trace = v;
+      if (!str(a.report)) return false;
     } else if (flag == "--metrics") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.metrics = v;
+      if (!str(a.metrics)) return false;
     } else if (flag == "--watchdog") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.watchdog = v;
+      if (!str(a.watchdog)) return false;
       if (a.watchdog != "report" && a.watchdog != "abort") {
         std::cerr << "--watchdog must be report or abort\n";
         return false;
       }
     } else if (flag == "--replay") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.replay = v;
+      if (!str(a.replay)) return false;
     } else if (flag == "--min-separation") {
       if (!num(a.min_separation)) return false;
     } else if (flag == "--flight-recorder") {
       if (!num(a.flight_recorder)) return false;
     } else if (flag == "--flight-dump") {
-      const char* v = need(i);
-      if (!v) return false;
-      a.flight_dump = v;
+      if (!str(a.flight_dump)) return false;
     } else {
       std::cerr << "unknown flag: " << flag << " (see --help)\n";
       return false;
@@ -351,11 +310,6 @@ int main(int argc, char** argv) {
     obs::FlightRecorder::install_crash_handler(recorder.get(),
                                                args.flight_dump);
   }
-  std::unique_ptr<obs::SpanBuilder> span_builder;
-  if (!args.spans.empty() || !args.span_trace.empty()) {
-    span_builder = std::make_unique<obs::SpanBuilder>();
-    sinks.add(span_builder.get());
-  }
   std::unique_ptr<obs::Watchdog> watchdog;
 
   core::ChatNetworkOptions opt;
@@ -372,7 +326,7 @@ int main(int argc, char** argv) {
   opt.ksegment_k = args.k;
   opt.observation_quantum = args.quantum;
   opt.observation_delay = args.delay;
-  opt.record_positions = !args.svg.empty() || !args.jsonl.empty();
+  opt.record_positions = !args.svg.empty();
 
   obs::MetricsRegistry metrics;
   std::unique_ptr<obs::MetricsSink> metrics_sink;
@@ -393,11 +347,9 @@ int main(int argc, char** argv) {
     if (!args.metrics.empty()) {
       metrics_sink = std::make_unique<obs::MetricsSink>(metrics);
       sinks.add(metrics_sink.get());
-    }
-    if (!sinks.empty()) net.attach_event_sink(&sinks);
-    if (!args.report.empty() || !args.metrics.empty()) {
       net.attach_metrics(&metrics);
     }
+    if (!sinks.empty()) net.attach_event_sink(&sinks);
     const auto payload = encode::bytes_of(args.message);
     if (args.broadcast) {
       net.broadcast(args.from, payload);
@@ -417,10 +369,9 @@ int main(int argc, char** argv) {
       return kExitRuntime;
     }
 
-    // "--report -" / "--spans -" / "--metrics -" reserve stdout for the
-    // JSON so it pipes cleanly into jq; the human summary moves to stderr.
-    const bool stdout_taken = args.report == "-" || args.spans == "-" ||
-                              args.metrics == "-";
+    // "--report -" / "--metrics -" reserve stdout for the JSON so it
+    // pipes cleanly into jq; the human summary moves to stderr.
+    const bool stdout_taken = args.report == "-" || args.metrics == "-";
     std::ostream& human = stdout_taken ? std::cerr : std::cout;
     human << "protocol: " << args.protocol << " (resolved kind "
           << static_cast<int>(net.protocol_kind()) << "), n = " << args.n
@@ -466,28 +417,6 @@ int main(int argc, char** argv) {
         std::cout << "wrote " << args.report << "\n";
       }
     }
-    if (span_builder != nullptr) {
-      if (args.spans == "-") {
-        span_builder->write_json(std::cout);
-      } else if (!args.spans.empty()) {
-        std::ofstream out(args.spans);
-        if (!out) {
-          std::cerr << "error: could not write " << args.spans << "\n";
-          return kExitRuntime;
-        }
-        span_builder->write_json(out);
-        human << "wrote " << args.spans << "\n";
-      }
-      if (!args.span_trace.empty()) {
-        std::ofstream out(args.span_trace);
-        if (!out) {
-          std::cerr << "error: could not write " << args.span_trace << "\n";
-          return kExitRuntime;
-        }
-        span_builder->write_chrome_trace(out);
-        human << "wrote " << args.span_trace << "\n";
-      }
-    }
     if (!args.metrics.empty()) {
       if (args.metrics == "-") {
         metrics.write_json(std::cout);
@@ -504,13 +433,6 @@ int main(int argc, char** argv) {
     if (!args.events.empty()) human << "wrote " << args.events << "\n";
     if (!args.chrome_trace.empty()) {
       human << "wrote " << args.chrome_trace << "\n";
-    }
-    if (!args.jsonl.empty()) {
-      if (!sim::write_trace_jsonl(args.jsonl, net.engine().trace())) {
-        std::cerr << "error: could not write " << args.jsonl << "\n";
-        return kExitRuntime;
-      }
-      human << "wrote " << args.jsonl << "\n";
     }
     if (!args.svg.empty()) {
       viz::SvgScene fig;
